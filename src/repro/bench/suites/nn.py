@@ -119,6 +119,28 @@ def _conv_fwdbwd():
     return step
 
 
+# micro_resnet's first-stage 3×3 convs at the batch the serial resnet
+# training benchmark runs: ~38 M MACs per backward GEMM.
+_HOT_BATCH = 256
+
+
+@register(
+    "conv2d.fwdbwd.k3s1p1.b256",
+    area="nn",
+    params={"batch": _HOT_BATCH, "in_channels": 8, "out_channels": 8, "image": _IMAGE, "kernel": 3},
+)
+def _conv_fwdbwd_hot():
+    layer = _conv(8, 8, 3, 1, 1)
+    x = _input(n=_HOT_BATCH, c=8)
+    grad = _input(n=_HOT_BATCH, c=8, seed=1)
+
+    def step():
+        layer.forward(x)
+        layer.backward(grad)
+
+    return step
+
+
 @register(
     "conv2d.fwdbwd.k1s1p0",
     area="nn",

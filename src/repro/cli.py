@@ -211,10 +211,11 @@ def cmd_train(args) -> int:
         console.info(f"final test accuracy: {res.final_test_accuracy:.4f} "
                      f"({args.world} simulated ranks, {res.messages} messages)")
         if args.overlap or args.bucket_bytes is not None:
+            eff = res.overlap_efficiency
             console.info(
                 f"gradient exchange: exposed {res.exposed_comm_seconds:.4f}s "
-                f"of {res.comm_busy_seconds:.4f}s busy "
-                f"(overlap efficiency {res.overlap_efficiency:.1%})")
+                f"of {res.comm_busy_seconds:.4f}s busy (overlap efficiency "
+                f"{'n/a' if eff is None else f'{eff:.1%}'})")
         if res.fault_stats is not None:
             console.info(f"faults: {res.fault_stats.summary()}")
             for report in res.fault_reports:

@@ -278,10 +278,11 @@ class ClusterResult:
     comm_busy_seconds: float = 0.0
 
     @property
-    def overlap_efficiency(self) -> float:
-        """Fraction of gradient communication hidden under compute."""
+    def overlap_efficiency(self) -> float | None:
+        """Fraction of gradient communication hidden under compute; ``None``
+        (undefined, not 0) when no communication time was spent."""
         if self.comm_busy_seconds <= 0.0:
-            return 0.0
+            return None
         return 1.0 - self.exposed_comm_seconds / self.comm_busy_seconds
 
     @property

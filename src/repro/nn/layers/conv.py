@@ -18,11 +18,10 @@ in ``tests/nn/test_conv_parity.py``):
   overlap (``stride >= kernel``) and falls back to the per-offset
   slice-add loop otherwise.
 * :class:`Conv2D` skips ``im2col``/``col2im`` entirely for 1×1 kernels
-  (bottleneck and shortcut convolutions are plain strided GEMMs), drives
-  the GEMMs through ``np.matmul`` for small problems and through
-  path-cached einsum (:func:`repro.nn.tensor.cached_einsum`) for large
-  ones — both choices are functions of the operand shapes alone, so the
-  numerics of a given layer geometry never depend on runtime state.
+  (bottleneck and shortcut convolutions are plain strided GEMMs) and runs
+  every GEMM, forward and backward, as one batched BLAS ``np.matmul`` at
+  every shape: the weight gradient is a per-example product summed over
+  the batch, so no shape-dependent routing decides the numerics.
 """
 
 from __future__ import annotations
@@ -30,15 +29,10 @@ from __future__ import annotations
 import numpy as np
 
 from ..initializers import Initializer, he_normal, zeros
-from ..tensor import Parameter, Workspace, cached_einsum
+from ..tensor import Parameter, Workspace
 from .base import Module, Shape
 
 __all__ = ["Conv2D", "im2col", "im2col_view", "col2im", "col2im_clipped", "conv_output_hw"]
-
-# Backward-GEMM strategy crossover (total MACs): below this, batched
-# ``np.matmul`` with folded batch axes wins; above it, einsum's tensordot
-# contraction order is faster.  Shape-only, so replays are deterministic.
-_BATCHED_MATMUL_MAX_MACS = 1 << 25
 
 
 def conv_output_hw(
@@ -61,9 +55,8 @@ def im2col_view(
 
     The view is read-only (it aliases ``x`` — or its padded copy — with
     overlapping strides, so writes would corrupt neighbouring patches).
-    Consumers that can digest strided operands (einsum, slice reductions)
-    avoid the big column copy entirely; everyone else goes through
-    :func:`im2col`.
+    :func:`im2col` copies it once into the contiguous column buffer that
+    the batched GEMMs read.
     """
     n, c, h, w = x.shape
     oh, ow = conv_output_hw(h, w, kh, kw, stride, pad)
@@ -375,43 +368,27 @@ class Conv2D(Module):
         buffered = self._memory is not None or out is not None
         go = grad_out.reshape(n, g, og, span)
         w2 = self.weight.data.reshape(g, og, ckk)
-        # Gradient GEMM destinations: arena scratch/slot when planned, the
-        # layer workspace when eager (same reuse forward's im2col gets), and
-        # fresh arrays only on the parity-test escape hatch.
+        # One batched BLAS route at every shape.  dW is a per-example GEMM
+        # (og × L)·(L × ckk) — BLAS reads the transposed column view as-is,
+        # no staging copy — summed over the batch in the operands' dtype, so
+        # fp32 sums stay bitwise equal across the float64 buffers below;
+        # dcols broadcasts the transposed weights over the batch.
+        # Destinations: arena scratch/slot when planned, the layer workspace
+        # when eager, and fresh arrays only on the parity-test escape hatch.
         if buffered:
             dw = self._scratch((g, og, ckk), np.float64)
+            dw_n = self._scratch((n, g, og, ckk), np.float64)
             dcols = self._buf("dcols", (n, g, ckk, span), np.float64)
         elif self.fast_paths:
             dw = self._workspace.get("dw", (g, og, ckk), np.float64)
+            dw_n = self._workspace.get("dw_n", (n, g, og, ckk), np.float64)
             dcols = self._workspace.get("dcols", (n, g, ckk, span), np.float64)
         else:
-            dw = None
-            dcols = None
-        if n * g * og * ckk * span <= _BATCHED_MATMUL_MAX_MACS:
-            # Fold the batch into the GEMM columns: one (og × nL)·(nL × ckk)
-            # product per group beats einsum's dispatch overhead here.
-            if buffered:
-                t1 = self._scratch((g, og, n, span), np.float64)
-                t1[...] = go.transpose(1, 2, 0, 3)
-                t2 = self._scratch((g, n, span, ckk), np.float64)
-                t2[...] = cols_g.transpose(1, 0, 3, 2)
-                np.matmul(
-                    t1.reshape(g, og, n * span), t2.reshape(g, n * span, ckk), out=dw
-                )
-                self._drop(t2)
-                self._drop(t1)
-            else:
-                dw = np.matmul(
-                    go.transpose(1, 2, 0, 3).reshape(g, og, n * span),
-                    cols_g.transpose(1, 0, 3, 2).reshape(g, n * span, ckk),
-                    out=dw,
-                )
-            dcols = np.matmul(w2.transpose(0, 2, 1)[None], go, out=dcols)
-        else:
-            # Large problems: einsum's contraction order wins; the path is
-            # memoised per shape so only the first call pays for planning.
-            dw = cached_einsum("ngol,ngcl->goc", go, cols_g, out=dw)
-            dcols = cached_einsum("goc,ngol->ngcl", w2, go, out=dcols)
+            dw = dw_n = dcols = None
+        dw_n = np.matmul(go, cols_g.transpose(0, 1, 3, 2), out=dw_n)
+        dw = np.sum(dw_n, axis=0, dtype=np.result_type(go, cols_g), out=dw)
+        self._drop(dw_n)
+        dcols = np.matmul(w2.transpose(0, 2, 1)[None], go, out=dcols)
         self.weight.grad += dw.reshape(self.weight.data.shape)
         if buffered:
             self._drop(dw)

@@ -16,9 +16,9 @@ whose size scales with the global batch.  This module removes that tax:
   Layers request *slots* (persistent, keyed by ``(module, tag, shape,
   dtype)``: activations, masks, gradient outputs — anything whose lifetime
   crosses a layer-call boundary) and *scratch* (acquired and released
-  inside one layer call: GEMM staging, reduction temporaries — these are
-  where the freelist earns real reuse, because consecutive layer calls
-  recycle the same buckets).
+  inside one layer call: per-example GEMM products, reduction temporaries
+  — these are where the freelist earns real reuse, because consecutive
+  layer calls recycle the same buckets).
 * :class:`MemoryPlan` — a static analyser.  It shape-infers the layer
   graph once (per-layer rules mirror the exact slot/scratch requests the
   buffered code paths make), assigns each buffer a liveness interval in
@@ -389,7 +389,7 @@ def _rule_dense(layer, shp, training):
 
 
 def _rule_conv(layer, shp, training):
-    from .layers.conv import _BATCHED_MATMUL_MAX_MACS, conv_output_hw
+    from .layers.conv import conv_output_hw
 
     n, c, h, w = shp
     k, s, p, g = layer.kernel_size, layer.stride, layer.padding, layer.groups
@@ -412,16 +412,11 @@ def _rule_conv(layer, shp, training):
 
     bwd = [
         ("scratch", "dw", (g, og, ckk), _F64),
+        ("scratch", "dw_n", (n, g, og, ckk), _F64),
         ("slot", "dcols", (n, g, ckk, span), _F64),
+        ("free", "dw_n"),
+        ("free", "dw"),
     ]
-    if n * g * og * ckk * span <= _BATCHED_MATMUL_MAX_MACS:
-        bwd += [
-            ("scratch", "t1", (g, og, n, span), _F64),
-            ("scratch", "t2", (g, n, span, ckk), _F64),
-            ("free", "t2"),
-            ("free", "t1"),
-        ]
-    bwd.append(("free", "dw"))
     if layer.bias is not None:
         bwd += [("scratch", "db", (layer.out_channels,), _F64), ("free", "db")]
     if pointwise:

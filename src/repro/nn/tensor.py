@@ -16,28 +16,7 @@ from __future__ import annotations
 
 import numpy as np
 
-__all__ = ["Parameter", "Workspace", "cached_einsum"]
-
-# einsum recomputes its contraction path on every call; for the small
-# per-layer contractions of the proxy models that bookkeeping rivals the
-# arithmetic.  Paths depend only on (equation, operand shapes), so they are
-# memoised here and shared by every layer.
-_EINSUM_PATHS: dict[tuple, list] = {}
-
-
-def cached_einsum(equation: str, *operands: np.ndarray, out: np.ndarray | None = None):
-    """``np.einsum`` with the contraction path memoised per (equation, shapes).
-
-    Numerically identical to ``np.einsum(..., optimize=True)`` — the path
-    only chooses the order of pairwise contractions, and for a fixed key the
-    same path is replayed every call.
-    """
-    key = (equation,) + tuple(op.shape for op in operands)
-    path = _EINSUM_PATHS.get(key)
-    if path is None:
-        path = np.einsum_path(equation, *operands, optimize=True)[0]
-        _EINSUM_PATHS[key] = path
-    return np.einsum(equation, *operands, optimize=path, out=out)
+__all__ = ["Parameter", "Workspace"]
 
 
 class Workspace:

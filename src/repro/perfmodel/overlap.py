@@ -97,11 +97,12 @@ class OverlapStepEstimate:
         return sum(done - ready for ready, done in self.bucket_times)
 
     @property
-    def overlap_efficiency(self) -> float:
-        """Fraction of communication hidden under compute (1.0 = all)."""
+    def overlap_efficiency(self) -> float | None:
+        """Fraction of communication hidden under compute (1.0 = all);
+        ``None`` (undefined, not 0) when there is no communication."""
         busy = self.comm_busy_seconds
         if busy <= 0.0:
-            return 0.0
+            return None
         return 1.0 - self.exposed_comm_seconds / busy
 
 

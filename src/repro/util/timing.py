@@ -136,21 +136,23 @@ class LayerProfiler:
             fwd, bwd = layer.forward, layer.backward
             self._originals.append((layer, fwd, bwd))
 
-            def timed_fwd(x, _f=fwd, _l=label):
+            # Pass every argument through: planned models call
+            # ``forward(x, out=slot)`` / ``backward(g, out=slot)``.
+            def timed_fwd(*args, _f=fwd, _l=label, **kwargs):
                 tr = self.tracer
                 if tr is not None and tr.enabled:
                     with tr.span("layer.forward", layer=_l), self.forward_time[_l]:
-                        return _f(x)
+                        return _f(*args, **kwargs)
                 with self.forward_time[_l]:
-                    return _f(x)
+                    return _f(*args, **kwargs)
 
-            def timed_bwd(g, _b=bwd, _l=label):
+            def timed_bwd(*args, _b=bwd, _l=label, **kwargs):
                 tr = self.tracer
                 if tr is not None and tr.enabled:
                     with tr.span("layer.backward", layer=_l), self.backward_time[_l]:
-                        return _b(g)
+                        return _b(*args, **kwargs)
                 with self.backward_time[_l]:
-                    return _b(g)
+                    return _b(*args, **kwargs)
 
             layer.forward = timed_fwd
             layer.backward = timed_bwd

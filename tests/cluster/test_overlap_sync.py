@@ -122,6 +122,13 @@ class TestOverlapSpeedup:
         assert over.overlap_efficiency > 0.5
         assert over.exposed_comm_seconds < mono.exposed_comm_seconds
 
+    def test_efficiency_undefined_without_comm_time(self):
+        # no α-β profile: the exchange costs no simulated time, so the
+        # hidden fraction is undefined (None), not 0
+        res = _run(world=2, overlap=True, bucket_bytes=1024, epochs=1)
+        assert res.comm_busy_seconds == 0.0
+        assert res.overlap_efficiency is None
+
 
 class TestFaultsPerBucket:
     def test_fault_plan_sees_per_bucket_messages(self):

@@ -2,11 +2,13 @@
 
 The PR-2 optimizations (workspace-reuse im2col, non-overlapping col2im
 branch, 1×1 im2col-free route) must change *nothing* numerically: every
-test here asserts exact array equality, not allclose.  The reference for
+parity test here asserts exact array equality, not allclose.  The reference for
 ``im2col``/``col2im`` is a deliberately dumb loop implementation local to
 this file; ``Conv2D`` fast paths are compared against the same layer with
 ``fast_paths=False``, which shares the GEMM primitives but takes the
-general im2col route.
+general im2col route.  The one tolerance check compares the batch-256
+backward against an independent fp64 einsum reference, since its GEMM
+summation order legitimately differs.
 """
 
 import numpy as np
@@ -136,6 +138,13 @@ CONV_CASES = [
     (4, 4, 2, 2, 0, 1),   # non-overlapping col2im on backward
 ]
 
+# micro_resnet's 3×3 convs at the resnet benchmark's batch: n·og·ckk·L =
+# 256·8·72·256 ≈ 37.7 M MACs, the scale the backward GEMMs train at.
+HOT_CASE = (8, 8, 3, 1, 1, 1)
+HOT_BATCH, HOT_IMAGE = 256, 16
+# (batch, image) per case; everything else runs at the small default.
+BATCH_IMAGE = {HOT_CASE: (HOT_BATCH, HOT_IMAGE)}
+
 
 def _pair(in_c, out_c, kernel, stride, pad, groups):
     """The same layer twice: fast paths on and off, identical weights."""
@@ -147,14 +156,15 @@ def _pair(in_c, out_c, kernel, stride, pad, groups):
     return fast, slow
 
 
-@pytest.mark.parametrize("in_c,out_c,kernel,stride,pad,groups", CONV_CASES)
+@pytest.mark.parametrize("in_c,out_c,kernel,stride,pad,groups", CONV_CASES + [HOT_CASE])
 @pytest.mark.parametrize("dtype", [np.float64, np.float32])
 def test_conv2d_fast_paths_bitwise_identical(
     in_c, out_c, kernel, stride, pad, groups, dtype
 ):
+    n, size = BATCH_IMAGE.get((in_c, out_c, kernel, stride, pad, groups), (2, 8))
     fast, slow = _pair(in_c, out_c, kernel, stride, pad, groups)
     rng = np.random.default_rng(11)
-    x = rng.normal(size=(2, in_c, 8, 8)).astype(dtype)
+    x = rng.normal(size=(n, in_c, size, size)).astype(dtype)
 
     out_fast = fast.forward(x)
     out_slow = slow.forward(x)
@@ -249,3 +259,60 @@ def test_conv2d_backward_workspace_reuse_is_stable():
         dx_ref = b.backward(grad)
         np.testing.assert_array_equal(a.backward(grad, out=buf), dx_ref)
         np.testing.assert_array_equal(a.weight.grad, b.weight.grad)
+
+
+def _reference_conv_grads(x, weight, grad, pad):
+    """fp64 stride-1 conv gradients by per-offset einsum contractions —
+    independent of im2col, col2im and the layer's GEMM layout."""
+    n, c, h, w = x.shape
+    k = weight.shape[2]
+    oh, ow = grad.shape[2:]
+    xpad = np.pad(x, ((0, 0), (0, 0), (pad, pad), (pad, pad)))
+    dx_pad = np.zeros_like(xpad)
+    dw = np.zeros_like(weight)
+    for i in range(k):
+        for j in range(k):
+            window = xpad[:, :, i : i + oh, j : j + ow]
+            dw[:, :, i, j] = np.einsum("nohw,nchw->oc", grad, window)
+            dx_pad[:, :, i : i + oh, j : j + ow] += np.einsum(
+                "nohw,oc->nchw", grad, weight[:, :, i, j])
+    db = np.einsum("nohw->o", grad)
+    return dx_pad[:, :, pad : pad + h, pad : pad + w], dw, db
+
+
+def _hot_inputs(layer):
+    rng = np.random.default_rng(31)
+    x = rng.normal(size=(HOT_BATCH, HOT_CASE[0], HOT_IMAGE, HOT_IMAGE))
+    grad = rng.normal(size=(HOT_BATCH, *layer.output_shape(x.shape[1:])))
+    return x, grad
+
+
+def test_conv2d_backward_matches_fp64_reference_at_hot_shape():
+    # fast/general are bitwise equal (above), so checking one suffices
+    layer, _ = _pair(*HOT_CASE)
+    x, grad = _hot_inputs(layer)
+    layer.forward(x)
+    dx = layer.backward(grad)
+    ref_dx, ref_dw, ref_db = _reference_conv_grads(x, layer.weight.data, grad, HOT_CASE[4])
+    for got, ref in ((dx, ref_dx), (layer.weight.grad, ref_dw), (layer.bias.grad, ref_db)):
+        assert got.shape == ref.shape
+        assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref))
+
+
+def test_conv2d_backward_never_calls_einsum(monkeypatch):
+    # Structural gate: the backward GEMMs are BLAS matmuls at every shape,
+    # including the large ones a former size crossover sent to np.einsum.
+    in_c, out_c, kernel, stride, pad, groups = HOT_CASE
+    fast, slow = _pair(in_c, out_c, kernel, stride, pad, groups)
+    x, grad = _hot_inputs(fast)
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("Conv2D.backward must not call np.einsum")
+
+    monkeypatch.setattr(np, "einsum", forbidden)
+    monkeypatch.setattr(np, "einsum_path", forbidden)
+    for layer in (fast, slow):
+        layer.forward(x)
+        layer.backward(grad)
+    fast.forward(x)
+    fast.backward(grad, out=np.empty(x.shape))

@@ -15,7 +15,7 @@ from repro.nn.models import build_model
 from repro.perfmodel import max_batch_size, predict_activation_bytes
 from repro.perfmodel.memory import sweep_batch_sizes
 
-BATCHES = [8, 32, 128]
+BATCHES = [8, 32, 128, 256]
 
 
 def _measure_peak(model, in_shape, batch, steps=2):

@@ -111,6 +111,12 @@ class TestStepModel:
         assert est.step_seconds == pytest.approx(2.0)
         assert est.comm_busy_seconds == pytest.approx(0.0)
 
+    def test_efficiency_undefined_without_comm(self):
+        # nothing to hide: the fraction is undefined, not 0
+        est = predict_step_time(1, [1024] * 4, _PROFILE, compute_seconds=2.0)
+        assert est.comm_busy_seconds == 0.0
+        assert est.overlap_efficiency is None
+
     def test_messages_scale_with_buckets(self):
         few = predict_step_time(8, [65536], _PROFILE, 1e-3)
         many = predict_step_time(8, [4096] * 16, _PROFILE, 1e-3)

@@ -37,6 +37,16 @@ def test_train_cluster(capsys):
     assert "simulated ranks" in out
 
 
+def test_train_overlap_without_comm_time_prints_na(capsys):
+    # the default network is free (no α-β profile): zero busy time makes
+    # the overlap efficiency undefined, which must not print as "0.0%"
+    assert main(["train", "--model", "mlp", "--optimizer", "sgd",
+                 "--batch", "64", "--epochs", "1", "--world", "2",
+                 "--dataset", "tiny", "--overlap"]) == 0
+    out = capsys.readouterr().out
+    assert "busy (overlap efficiency n/a)" in out
+
+
 def test_train_trace_export(tmp_path, capsys):
     import json
 

@@ -88,6 +88,31 @@ class TestLayerProfiler:
         prof = LayerProfiler(model)
         assert np.array_equal(model.forward(x), expected)
 
+    def test_planned_step_profiles_and_matches_unprofiled_loss(self):
+        # static_memory threads ``out=`` through every layer call; the
+        # wrappers must pass it on and leave the arithmetic untouched.
+        from repro.core import SGD
+        from repro.core.trainer import Trainer
+        from repro.nn.models import micro_resnet
+
+        rng = np.random.default_rng(0)
+        x = rng.normal(size=(8, 3, 16, 16))
+        y = rng.integers(0, 10, size=8)
+
+        def losses(profile):
+            # the second loss sees the first step's backward and update
+            model = micro_resnet(num_classes=10, seed=0)
+            trainer = Trainer(model, SGD(model.parameters()), 0.01,
+                              static_memory=True)
+            prof = LayerProfiler(model) if profile else None
+            return [trainer.train_step(x, y)[0] for _ in range(2)], prof
+
+        expected, _ = losses(profile=False)
+        got, prof = losses(profile=True)
+        assert got == expected
+        assert len(prof.forward_time) == len(prof.model.layers)
+        assert all(t.count == 2 for t in prof.backward_time.values())
+
     def test_tracer_spans_per_layer(self):
         from repro.obs.trace import Tracer
 
