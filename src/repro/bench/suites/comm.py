@@ -19,15 +19,13 @@ _ROUNDS = 4
 
 
 def _allreduce_bench(algorithm: str):
-    from repro.comm.collectives import allreduce_rhd, allreduce_ring, allreduce_tree
+    from repro.comm.collectives import allreduce
     from repro.comm.communicator import run_cluster
-
-    fn = {"tree": allreduce_tree, "ring": allreduce_ring, "rhd": allreduce_rhd}[algorithm]
 
     def worker(comm):
         data = np.random.default_rng(comm.rank).normal(size=_ELEMENTS)
         for _ in range(_ROUNDS):
-            data = fn(comm, data)
+            data = allreduce(comm, data, algorithm)
         return float(data[0])
 
     return lambda: run_cluster(_WORLD, worker)

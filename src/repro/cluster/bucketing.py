@@ -13,7 +13,10 @@ Two pieces:
 * :class:`BucketPlan` — a static partition of the model's parameters, in
   reverse ``parameters()`` order (the order backward finalises gradients),
   into ~``bucket_bytes`` buckets, each with a persistent flat float64
-  buffer reused every step (no per-iteration |W| allocation).
+  buffer reused every step (no per-iteration |W| allocation).  Within a
+  bucket the buffer is laid out in ``parameters()`` order, so a plan of
+  one bucket packs exactly :func:`repro.cluster.packing.flatten_grads`'
+  vector.
 * :class:`BucketedExchange` — the per-rank driver.  In overlap mode it
   installs gradient-ready hooks on the leaf modules
   (:meth:`repro.nn.layers.base.Module.register_grad_ready_hook`); as soon
@@ -22,9 +25,11 @@ Two pieces:
   that slice of backward compute and launches a nonblocking
   ``iallreduce``.  ``finish_step`` flush-launches whatever backward never
   reached (empty shards), waits the buckets in plan order, and unpacks the
-  reduced gradients.  In blocking mode (``overlap=False`` with a bucket
-  size) the same plan runs as sequential per-bucket blocking allreduces —
-  bucketed wire traffic without the overlap.
+  reduced gradients.  In blocking mode (``overlap=False``) the same plan
+  runs as sequential per-bucket blocking allreduces — bucketed wire
+  traffic without the overlap.  This is the only gradient-exchange path of
+  allreduce-mode sync SGD: without ``bucket_bytes`` or ``overlap`` it runs
+  a one-bucket plan, i.e. one blocking allreduce of all of |W|.
 
 Simulated-time accounting: launches charge compute through
 ``Communicator.compute`` (forward = 1/3 of the step, backward split across
@@ -38,10 +43,13 @@ overlap efficiency the obs gauge exports).
 Bitwise semantics: bucketing only partitions the flat gradient vector.
 For the ``tree`` and ``rhd`` algorithms the per-element reduction tree is
 independent of the partition, so bucketed results are *bit-identical* to
-the monolithic exchange.  ``ring`` assigns chunks to starting ranks by
-buffer position, so its summation order changes with the partition —
-results agree to summation-reassociation tolerance (~1e-12), exactly the
-variation a world-size change already introduces.
+the single-bucket exchange at any bucket size.  ``ring`` is bit-identical
+whenever the plan is one bucket (overlapped or not, since both drivers run
+the same algorithm on the same buffer); across several buckets it assigns
+chunks to starting ranks by buffer position, so its summation order
+changes with the partition and results agree to summation-reassociation
+tolerance (~1e-12), exactly the variation a world-size change already
+introduces.
 """
 
 from __future__ import annotations
@@ -95,6 +103,7 @@ class BucketPlan:
 
     Bucket 0 holds the *last* parameters of ``params`` — the gradients
     backward finalises first — so launches naturally follow readiness.
+    Each bucket lists (and packs) its own parameters in ``params`` order.
     The greedy boundary rule is shared with the perfmodel predictor
     (:func:`repro.perfmodel.overlap.greedy_partition`), keeping analytic
     and simulated bucket schedules identical.
@@ -112,7 +121,8 @@ class BucketPlan:
         self.buckets: list[Bucket] = []
         cursor = 0
         for i, group in enumerate(groups):
-            self.buckets.append(Bucket(i, rev[cursor : cursor + len(group)]))
+            members = rev[cursor : cursor + len(group)]
+            self.buckets.append(Bucket(i, members[::-1]))
             cursor += len(group)
         self.total_size = sum(b.size for b in self.buckets)
         #: param id → bucket index (hooks resolve readiness through this)
@@ -262,26 +272,27 @@ class BucketedExchange:
                 1.0 - exposed / busy
             )
 
-    # -- blocking bucketed path ---------------------------------------------
+    # -- blocking path -------------------------------------------------------
     def sync_blocking(self, weight: float) -> None:
         """Sequential per-bucket blocking exchange (``overlap=False``).
 
         Same plan, same wire partitioning (so fault plans see per-bucket
         messages), but every allreduce — or per-bucket compressed exchange —
         completes before the next launches; comm time is fully exposed.
+        Opens no span of its own: the caller's ``cluster.grad_sync`` span
+        covers the whole exchange, with each ``comm.allreduce`` directly
+        under it.
         """
         start = self.comm.time
-        with _timed("cluster.bucket_sync", rank=self.comm.rank,
-                    buckets=len(self.plan.buckets)):
-            for bucket in self.plan.buckets:
-                flat = bucket.pack(weight)
-                if self.compressor is not None:
-                    from .compression import compressed_allreduce
+        for bucket in self.plan.buckets:
+            flat = bucket.pack(weight)
+            if self.compressor is not None:
+                from .compression import compressed_allreduce
 
-                    total = compressed_allreduce(self.comm, flat, self.compressor)
-                else:
-                    total = self.comm.allreduce(flat, algorithm=self.algorithm)
-                bucket.unpack(total)
+                total = compressed_allreduce(self.comm, flat, self.compressor)
+            else:
+                total = self.comm.allreduce(flat, algorithm=self.algorithm)
+            bucket.unpack(total)
         elapsed = self.comm.time - start
         self.exposed_seconds += elapsed
         self.busy_seconds += elapsed

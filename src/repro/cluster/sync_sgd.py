@@ -111,8 +111,8 @@ class SyncSGDConfig:
         payloads.  ``None`` = full-precision exchange.
     bucket_bytes:
         Split the gradient exchange into ~this many bytes per bucket
-        (allreduce mode only); ``None`` with ``overlap=False`` keeps the
-        monolithic single-message exchange.  See
+        (allreduce mode only); ``None`` with ``overlap=False`` exchanges
+        one bucket holding all of |W| in a single allreduce.  See
         :mod:`repro.cluster.bucketing`.
     overlap:
         Overlap gradient communication with backward compute: each
@@ -120,8 +120,10 @@ class SyncSGDConfig:
         gradients, so per-step simulated time is ``max(compute, comm)``
         instead of their sum.  Implies bucketing (default 1 MiB buckets
         when ``bucket_bytes`` is unset).  Results are bit-identical to the
-        monolithic exchange for the ``tree``/``rhd`` algorithms; ``ring``
-        agrees to summation-order tolerance (~1e-12).  Incompatible with
+        single-bucket blocking exchange for the ``tree``/``rhd``
+        algorithms at any bucket size, and for ``ring`` whenever the plan
+        is one bucket; ring across several buckets agrees to
+        summation-order tolerance (~1e-12).  Incompatible with
         ``compressor_factory`` (compression is blocking per bucket).
     static_memory:
         Each rank binds a :class:`repro.nn.MemoryContext` to its replica
@@ -194,18 +196,9 @@ class SyncSGDConfig:
             raise ValueError(
                 f"unknown mode {self.mode!r}; expected 'allreduce' or 'master'"
             )
-        from ..comm.collectives import ALLREDUCE_ALGORITHMS
+        from ..comm.collectives import check_allreduce
 
-        if self.algorithm not in ALLREDUCE_ALGORITHMS:
-            raise ValueError(
-                f"unknown algorithm {self.algorithm!r}; "
-                f"available: {sorted(ALLREDUCE_ALGORITHMS)}"
-            )
-        if self.algorithm == "rhd" and self.world & (self.world - 1):
-            raise ValueError(
-                f"rhd allreduce requires a power-of-two world (got "
-                f"{self.world}); pick algorithm='tree' or 'ring'"
-            )
+        check_allreduce(self.algorithm, self.world)
         if self.batch_size < self.world:
             raise ValueError(
                 f"global batch {self.batch_size} smaller than world "
@@ -319,32 +312,6 @@ class _SnapshotStore:
             return self._latest
 
 
-def _sync_gradient_allreduce(
-    comm: Communicator,
-    model: Module,
-    weight: float,
-    algorithm: str,
-    compressor=None,
-    bucket: np.ndarray | None = None,
-) -> None:
-    """Decentralised mode: allreduce shard-weighted gradients in place,
-    optionally through a gradient compressor (1-bit / top-k / quantised).
-
-    ``bucket`` is the rank's reusable flat gradient buffer (|W| floats);
-    supplying it avoids reallocating the bucket every iteration."""
-    params = model.parameters()
-    flat = flatten_grads(params, out=bucket)
-    if weight != 1.0:
-        flat *= weight
-    if compressor is not None:
-        from .compression import compressed_allreduce
-
-        total = compressed_allreduce(comm, flat, compressor)
-    else:
-        total = comm.allreduce(flat, algorithm=algorithm)
-    unflatten_grads(total, params)
-
-
 def _sync_gradient_master(
     comm: Communicator,
     model: Module,
@@ -432,8 +399,8 @@ def train_sync_sgd(
             iteration = start_epoch * iters_per_epoch
             history: list[EpochRecord] = []
             time_curve: list[tuple[int, float, float]] = []
-            # gradient-exchange accounting for the monolithic path (the
-            # bucketed exchange keeps its own running totals)
+            # master-mode gradient-exchange accounting (the allreduce
+            # exchange keeps its own running totals)
             exposed_total = 0.0
             busy_total = 0.0
 
@@ -446,30 +413,31 @@ def train_sync_sgd(
             compressor = (
                 cfg.compressor_factory() if cfg.compressor_factory else None
             )
-            # Reusable flat gradient bucket (one |W| buffer per rank); master
-            # mode also reuses a |W| buffer for the weight broadcast.
-            grad_bucket = np.empty(
-                sum(p.size for p in model.parameters()), dtype=np.float64
-            )
-            param_bucket = (
-                np.empty_like(grad_bucket) if cfg.mode == "master" else None
-            )
-            # Bucketed (optionally overlapped) gradient exchange — see
-            # repro.cluster.bucketing.  The monolithic path below stays
-            # byte-identical when neither bucket_bytes nor overlap is set.
-            exchange = None
-            if cfg.mode == "allreduce" and (cfg.overlap or cfg.bucket_bytes is not None):
+            if cfg.mode == "allreduce":
+                # The one allreduce-mode exchange (see repro.cluster.bucketing):
+                # without bucket_bytes or overlap its plan is a single bucket
+                # holding all of |W|.
                 from .bucketing import BucketedExchange, BucketPlan
 
+                bucket_bytes = cfg.bucket_bytes
+                if bucket_bytes is None and not cfg.overlap:
+                    bucket_bytes = sum(p.data.nbytes for p in model.parameters())
                 exchange = BucketedExchange(
                     comm,
-                    BucketPlan.from_model(model, bucket_bytes=cfg.bucket_bytes),
+                    BucketPlan.from_model(model, bucket_bytes=bucket_bytes),
                     algorithm=cfg.algorithm,
                     overlap=cfg.overlap,
                     compressor=compressor,
                 )
                 if cfg.overlap:
                     exchange.install_hooks(model)
+            else:
+                # Master mode reuses |W| flat buffers for the gradient
+                # reduce and the weight broadcast.
+                grad_bucket = np.empty(
+                    sum(p.size for p in model.parameters()), dtype=np.float64
+                )
+                param_bucket = np.empty_like(grad_bucket)
 
             for epoch in range(start_epoch, cfg.epochs):
                 order = epoch_permutation(n, epoch, cfg.shuffle_seed)
@@ -491,7 +459,6 @@ def train_sync_sgd(
                     # shards are uneven
                     weight = len(local_idx) / gbs
                     combine_weight = 1.0 if uses_sync_bn else weight
-                    overlapping = exchange is not None and cfg.overlap
 
                     with _timed("trainer.train_step", rank=comm.rank,
                                 iteration=iteration, epoch=epoch):
@@ -504,7 +471,7 @@ def train_sync_sgd(
                                     examples=len(local_idx)):
                             model.train()
                             optimizer.zero_grad()
-                            if overlapping:
+                            if cfg.overlap:
                                 # charges forward time now; backward time is
                                 # charged per bucket as the hooks launch
                                 exchange.begin_step(combine_weight, step_seconds)
@@ -530,7 +497,7 @@ def train_sync_sgd(
                                         top1_accuracy(logits, yb) * len(local_idx)
                                     )
                                     seen += len(local_idx)
-                                    if (not overlapping
+                                    if (not cfg.overlap
                                             and cfg.compute_time is not None):
                                         comm.compute(step_seconds)
 
@@ -541,15 +508,10 @@ def train_sync_sgd(
                         with _timed("cluster.grad_sync", rank=comm.rank,
                                     mode=cfg.mode):
                             if cfg.mode == "allreduce":
-                                if overlapping:
+                                if cfg.overlap:
                                     exchange.finish_step()
-                                elif exchange is not None:
-                                    exchange.sync_blocking(combine_weight)
                                 else:
-                                    _sync_gradient_allreduce(
-                                        comm, model, combine_weight,
-                                        cfg.algorithm, compressor,
-                                        bucket=grad_bucket)
+                                    exchange.sync_blocking(combine_weight)
                                 optimizer.step(lr)
                             else:
                                 _sync_gradient_master(
@@ -557,7 +519,7 @@ def train_sync_sgd(
                                     lr, grad_bucket=grad_bucket,
                                     param_bucket=param_bucket)
                         sync_elapsed = comm.time - sync_start
-                        if exchange is None:
+                        if cfg.mode == "master":
                             exposed_total += sync_elapsed
                             busy_total += sync_elapsed
                         _gauge("cluster.straggler_wait_s",
@@ -618,7 +580,7 @@ def train_sync_sgd(
                                  path=snapshot["path"], sim_seconds=comm.time)
 
             if comm.rank == 0:
-                if exchange is not None:
+                if cfg.mode == "allreduce":
                     exposed_total = exchange.exposed_seconds
                     busy_total = exchange.busy_seconds
                 return {

@@ -8,11 +8,9 @@ from .clock import LogicalClock
 from .collectives import (
     ALLREDUCE_ALGORITHMS,
     allgather_ring,
+    allreduce,
     allreduce_cost,
     allreduce_message_count,
-    allreduce_rhd,
-    allreduce_ring,
-    allreduce_tree,
     barrier_dissemination,
     bcast_cost,
     bcast_tree,
@@ -55,9 +53,7 @@ __all__ = [
     "RecvRequest",
     "AllreduceRequest",
     "ALLREDUCE_ALGORITHMS",
-    "allreduce_tree",
-    "allreduce_ring",
-    "allreduce_rhd",
+    "allreduce",
     "allgather_ring",
     "bcast_tree",
     "reduce_tree",

@@ -14,12 +14,29 @@ algorithm                 messages on critical path  bytes on critical path
 halving-doubling)
 ========================  =========================  ==========================
 
-Every function takes a duck-typed ``comm`` exposing ``rank``, ``size``,
-``send(dst, payload, tag)`` and ``recv(src, tag)``; the real implementation
-is :class:`repro.comm.communicator.Communicator`.  All algorithms reduce with
-exact elementwise addition in rank-deterministic order, so every rank
-computes bit-identical results — the foundation of the sequential-consistency
-guarantee.
+Each allreduce algorithm is implemented once, as a generator in
+:data:`ALLREDUCE_ALGORITHMS` that sends through a callback and yields the
+``(src, tag)`` it needs next.  Two drivers run it: :func:`allreduce` here
+(blocking: every send and receive is charged to the rank clock) and
+:class:`repro.comm.nonblocking.AllreduceRequest` (on the operation's own
+pipeline clock).  Both therefore produce the same bits, message counts and
+bytes.
+
+Every blocking function takes a duck-typed ``comm`` exposing ``rank``,
+``size``, ``send(dst, payload, tag)`` and ``recv(src, tag)``; the real
+implementation is :class:`repro.comm.communicator.Communicator`.  All
+algorithms reduce with exact elementwise addition in rank-deterministic
+order, so every rank computes bit-identical results — the foundation of the
+sequential-consistency guarantee.
+
+Simulated time against :func:`allreduce_cost` (β in seconds per byte, 8
+bytes per element; pinned by ``tests/comm/test_allreduce_drivers.py``): ring
+and rhd take the same time blocking and nonblocking, within 2(P−1)·8β (ring)
+and 2·log₂P·8β (rhd) of the model — the rounding of uneven chunks.  Tree
+matches the model at power-of-two P.  Elsewhere the binomial tree is
+incomplete and the model's 2·⌈log₂P⌉ full hops are only an upper bound:
+blocking measured 0.75–0.92× of it, nonblocking 0.5–0.83×, and nonblocking
+is never slower than blocking.
 """
 
 from __future__ import annotations
@@ -57,9 +74,8 @@ def _coll_span(op: str, comm, payload=None, algorithm: str | None = None):
 __all__ = [
     "bcast_tree",
     "reduce_tree",
-    "allreduce_tree",
-    "allreduce_ring",
-    "allreduce_rhd",
+    "allreduce",
+    "check_allreduce",
     "allgather_ring",
     "barrier_dissemination",
     "ALLREDUCE_ALGORITHMS",
@@ -122,68 +138,82 @@ def reduce_tree(comm, array: np.ndarray, root: int = 0, tag: int = 0):
         return acc
 
 
-def allreduce_tree(comm, array: np.ndarray, tag: int = 0) -> np.ndarray:
-    """reduce-to-0 followed by broadcast — the paper's log(P) model."""
-    with _coll_span("allreduce", comm, array, algorithm="tree"):
-        reduced = reduce_tree(comm, array, root=0, tag=tag)
-        return bcast_tree(comm, reduced, root=0, tag=tag + 1)
+# --------------------------------------------------------------------------
+# Allreduce algorithms: generators over a float64 vector ``flat`` that they
+# may reduce in place.  They send through ``send(dst, payload, tag)``, yield
+# ``(src, tag)`` for each message they need (the driver sends the payload
+# back in), and use ``tag`` and ``tag + 1`` for their two phases.
+# --------------------------------------------------------------------------
 
 
-def allreduce_ring(comm, array: np.ndarray, tag: int = 0) -> np.ndarray:
+def _tree_steps(rank: int, size: int, send, flat: np.ndarray, tag: int):
+    """Binomial reduce-to-0 then binomial broadcast — the paper's log(P)
+    model.  Children accumulate in ascending-mask order on every rank."""
+    acc = flat
+    mask = 1
+    while mask < size:
+        if rank & mask:
+            send(rank - mask, acc, tag)
+            break
+        src = rank + mask
+        if src < size:
+            acc += yield (src, tag)
+        mask <<= 1
+    mask = 1
+    while mask < size:
+        if rank < mask:
+            dst = rank + mask
+            if dst < size:
+                send(dst, acc, tag + 1)
+        elif rank < 2 * mask:
+            acc = yield (rank - mask, tag + 1)
+        mask <<= 1
+    return acc
+
+
+def _ring_steps(rank: int, size: int, send, flat: np.ndarray, tag: int):
     """Ring allreduce: reduce-scatter then ring allgather.
 
     Bandwidth-optimal (each rank moves ≈2n bytes regardless of P); this is
     the algorithm production stacks (NCCL, MLSL) use for large gradient
     tensors.
     """
-    if comm.size == 1:
-        return np.array(array, dtype=np.float64, copy=True)
-    with _coll_span("allreduce", comm, array, algorithm="ring"):
-        size, rank = comm.size, comm.rank
-        flat = np.asarray(array, dtype=np.float64).ravel().copy()
-        # Chunk boundaries follow np.array_split's convention (first n % P
-        # chunks get the extra element) computed arithmetically — no temporary
-        # chunk views on the per-iteration critical path.
-        base, extra = divmod(flat.size, size)
-        offsets = [0] * (size + 1)
-        for r in range(size):
-            offsets[r + 1] = offsets[r] + base + (1 if r < extra else 0)
-        right = (rank + 1) % size
-        left = (rank - 1) % size
+    # Chunk boundaries follow np.array_split's convention (first n % P
+    # chunks get the extra element) computed arithmetically — no temporary
+    # chunk views on the per-iteration critical path.
+    base, extra = divmod(flat.size, size)
+    offsets = [0] * (size + 1)
+    for r in range(size):
+        offsets[r + 1] = offsets[r] + base + (1 if r < extra else 0)
+    right = (rank + 1) % size
+    left = (rank - 1) % size
 
-        # reduce-scatter: after P-1 steps, rank owns the full sum of chunk
-        # (rank+1) % size
-        for step in range(size - 1):
-            send_idx = (rank - step) % size
-            recv_idx = (rank - step - 1) % size
-            comm.send(right, flat[offsets[send_idx] : offsets[send_idx + 1]], tag=tag)
-            incoming = comm.recv(left, tag=tag)
-            flat[offsets[recv_idx] : offsets[recv_idx + 1]] += incoming
+    # reduce-scatter: after P-1 steps, rank owns the full sum of chunk
+    # (rank+1) % size
+    for step in range(size - 1):
+        send_idx = (rank - step) % size
+        recv_idx = (rank - step - 1) % size
+        send(right, flat[offsets[send_idx] : offsets[send_idx + 1]], tag)
+        incoming = yield (left, tag)
+        flat[offsets[recv_idx] : offsets[recv_idx + 1]] += incoming
 
-        # allgather: circulate the completed chunks
-        for step in range(size - 1):
-            send_idx = (rank - step + 1) % size
-            recv_idx = (rank - step) % size
-            comm.send(right, flat[offsets[send_idx] : offsets[send_idx + 1]], tag=tag + 1)
-            incoming = comm.recv(left, tag=tag + 1)
-            flat[offsets[recv_idx] : offsets[recv_idx + 1]] = incoming
+    # allgather: circulate the completed chunks
+    for step in range(size - 1):
+        send_idx = (rank - step + 1) % size
+        recv_idx = (rank - step) % size
+        send(right, flat[offsets[send_idx] : offsets[send_idx + 1]], tag + 1)
+        incoming = yield (left, tag + 1)
+        flat[offsets[recv_idx] : offsets[recv_idx + 1]] = incoming
 
-        return flat.reshape(np.asarray(array).shape)
+    return flat
 
 
-def allreduce_rhd(comm, array: np.ndarray, tag: int = 0) -> np.ndarray:
+def _rhd_steps(rank: int, size: int, send, flat: np.ndarray, tag: int):
     """Recursive halving-doubling allreduce (power-of-two ranks only).
 
     Latency-optimal message count (2·log₂P) with near-bandwidth-optimal
     volume (2n·(1−1/P)); Rabenseifner's algorithm.
     """
-    size, rank = comm.size, comm.rank
-    if size & (size - 1):
-        raise ValueError("recursive halving-doubling requires power-of-two ranks")
-    flat = np.asarray(array, dtype=np.float64).ravel().copy()
-    n = flat.size
-    if size == 1:
-        return flat.reshape(np.asarray(array).shape)
 
     # Region boundaries come from identical arithmetic on all ranks, so the
     # keep/send splits agree without any coordination messages.
@@ -191,31 +221,74 @@ def allreduce_rhd(comm, array: np.ndarray, tag: int = 0) -> np.ndarray:
         mid = (lo + hi) // 2
         return (mid, hi) if take_high else (lo, mid)
 
-    with _coll_span("allreduce", comm, array, algorithm="rhd"):
-        # reduce-scatter by recursive halving; record each level's split so
-        # the allgather can replay it in reverse
-        levels: list[tuple[int, tuple[int, int], tuple[int, int]]] = []
-        lo, hi = 0, n
-        mask = size >> 1
-        while mask:
-            partner = rank ^ mask
-            i_am_high = bool(rank & mask)
-            keep = region(lo, hi, i_am_high)
-            give = region(lo, hi, not i_am_high)
-            comm.send(partner, flat[give[0] : give[1]], tag=tag)
-            flat[keep[0] : keep[1]] += comm.recv(partner, tag=tag)
-            levels.append((partner, keep, give))
-            lo, hi = keep
-            mask >>= 1
+    # reduce-scatter by recursive halving; record each level's split so
+    # the allgather can replay it in reverse
+    levels: list[tuple[int, tuple[int, int], tuple[int, int]]] = []
+    lo, hi = 0, flat.size
+    mask = size >> 1
+    while mask:
+        partner = rank ^ mask
+        i_am_high = bool(rank & mask)
+        keep = region(lo, hi, i_am_high)
+        give = region(lo, hi, not i_am_high)
+        send(partner, flat[give[0] : give[1]], tag)
+        flat[keep[0] : keep[1]] += yield (partner, tag)
+        levels.append((partner, keep, give))
+        lo, hi = keep
+        mask >>= 1
 
-        # allgather by recursive doubling: at each reversed level I own
-        # `keep` fully reduced and my partner owns the sibling `give`;
-        # exchanging them reconstructs the parent region.
-        for partner, keep, give in reversed(levels):
-            comm.send(partner, flat[keep[0] : keep[1]], tag=tag + 1)
-            flat[give[0] : give[1]] = comm.recv(partner, tag=tag + 1)
+    # allgather by recursive doubling: at each reversed level I own
+    # `keep` fully reduced and my partner owns the sibling `give`;
+    # exchanging them reconstructs the parent region.
+    for partner, keep, give in reversed(levels):
+        send(partner, flat[keep[0] : keep[1]], tag + 1)
+        flat[give[0] : give[1]] = yield (partner, tag + 1)
 
-        return flat.reshape(np.asarray(array).shape)
+    return flat
+
+
+ALLREDUCE_ALGORITHMS = {
+    "tree": _tree_steps,
+    "ring": _ring_steps,
+    "rhd": _rhd_steps,
+}
+
+
+def check_allreduce(algorithm: str, size: int) -> None:
+    """Reject an unknown algorithm, or rhd on a non-power-of-two world."""
+    if algorithm not in ALLREDUCE_ALGORITHMS:
+        raise ValueError(
+            f"unknown allreduce algorithm {algorithm!r}; "
+            f"available: {sorted(ALLREDUCE_ALGORITHMS)}"
+        )
+    if algorithm == "rhd" and size & (size - 1):
+        raise ValueError(
+            f"rhd allreduce requires a power-of-two world (got {size}); "
+            "pick algorithm='tree' or 'ring'"
+        )
+
+
+def allreduce(comm, array, algorithm: str = "tree", tag: int = 0) -> np.ndarray:
+    """Blocking global sum of ``array``, bit-identical on every rank.
+
+    Drives ``ALLREDUCE_ALGORITHMS[algorithm]`` with ``comm.send`` and answers
+    each yield with ``comm.recv``, so every message is charged to the rank
+    clock as in blocking MPI.  Returns a new float64 array of ``array``'s
+    shape.
+    """
+    check_allreduce(algorithm, comm.size)
+    shape = np.shape(array)
+    flat = np.array(array, dtype=np.float64).reshape(-1)
+    with _coll_span("allreduce", comm, array, algorithm=algorithm):
+        steps = ALLREDUCE_ALGORITHMS[algorithm](
+            comm.rank, comm.size, comm.send, flat, tag
+        )
+        try:
+            need = next(steps)
+            while True:
+                need = steps.send(comm.recv(*need))
+        except StopIteration as stop:
+            return stop.value.reshape(shape)
 
 
 def allgather_ring(comm, array, tag: int = 0) -> list:
@@ -251,13 +324,6 @@ def barrier_dissemination(comm, tag: int = 0) -> None:
             comm.recv((rank - k) % size, tag=tag)
             k <<= 1
             tag += 1
-
-
-ALLREDUCE_ALGORITHMS = {
-    "tree": allreduce_tree,
-    "ring": allreduce_ring,
-    "rhd": allreduce_rhd,
-}
 
 
 # --------------------------------------------------------------------------

@@ -120,10 +120,7 @@ class Communicator:
 
     def allreduce(self, array: np.ndarray, algorithm: str = "tree") -> np.ndarray:
         """Global sum, identical (bitwise) on every rank."""
-        if algorithm not in coll.ALLREDUCE_ALGORITHMS:
-            raise ValueError(f"unknown allreduce algorithm {algorithm!r}")
-        fn = coll.ALLREDUCE_ALGORITHMS[algorithm]
-        return fn(self, array, tag=self._next_tag())
+        return coll.allreduce(self, array, algorithm, tag=self._next_tag())
 
     def iallreduce(
         self, array: np.ndarray, algorithm: str = "tree", copy: bool = True

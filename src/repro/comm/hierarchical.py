@@ -23,9 +23,10 @@ import math
 import numpy as np
 
 from .collectives import (
-    ALLREDUCE_ALGORITHMS,
+    allreduce,
     allreduce_cost,
     bcast_tree,
+    check_allreduce,
     reduce_tree,
 )
 from .fabric import NetworkProfile
@@ -74,9 +75,8 @@ def allreduce_hierarchical(
     Every rank calls this collectively (same arguments).  Returns the global
     sum, bit-identical on every rank.
     """
-    if inter_algorithm not in ALLREDUCE_ALGORITHMS:
-        raise ValueError(f"unknown inter-node algorithm {inter_algorithm!r}")
     groups = node_groups(comm.size, node_size)
+    check_allreduce(inter_algorithm, len(groups))
     my_group = next(g for g in groups if comm.rank in g)
     local = _SubgroupComm(comm, my_group, tag_base=tag)
 
@@ -88,8 +88,7 @@ def allreduce_hierarchical(
     if comm.rank == my_group[0]:
         if len(leaders) > 1:
             leader_comm = _SubgroupComm(comm, leaders, tag_base=tag + 4)
-            fn = ALLREDUCE_ALGORITHMS[inter_algorithm]
-            reduced = fn(leader_comm, reduced, tag=0)
+            reduced = allreduce(leader_comm, reduced, inter_algorithm, tag=0)
         total = reduced
     else:
         total = None

@@ -60,8 +60,8 @@ def add_trace_parser(sub) -> None:
                      help="overlap bucketed allreduces with backward compute "
                           "(the trace then shows cluster.bucket_sync spans)")
     exp.add_argument("--check-overlap-speedup", action="store_true",
-                     help="also run the fault-free overlapped and monolithic "
-                          "variants and fail unless overlap reduces "
+                     help="also run the fault-free overlapped and single-bucket "
+                          "blocking variants and fail unless overlap reduces "
                           "simulated_seconds (CI smoke of the overlap path)")
 
     summ = trace_sub.add_parser("summary", help="per-span-name statistics of a trace file")
@@ -131,14 +131,14 @@ def run_traced_demo(
 def check_overlap_speedup(
     world: int = 4, algorithm: str = "tree", seed: int = 0
 ) -> tuple[float, float]:
-    """Fault-free overlap-vs-monolithic comparison for CI smoke.
+    """Fault-free overlapped-vs-blocking comparison for CI smoke.
 
-    Runs the same sync-SGD job twice — monolithic blocking exchange vs
-    overlapped 16 KiB buckets — on a bandwidth-heavy α-β profile where
-    backward compute can hide most of the allreduce.  The model is the
-    micro ResNet proxy: its ~30 similar-sized tensors bucket evenly, the
+    Runs the same sync-SGD job twice — the blocking exchange of one bucket
+    holding all of |W| vs overlapped 16 KiB buckets — on a bandwidth-heavy
+    α-β profile where backward compute can hide most of the allreduce.
+    The model is the micro ResNet proxy: its ~30 similar-sized tensors bucket evenly, the
     regime where overlap pays (one huge tensor would collapse the plan to
-    a single exposed bucket).  Returns ``(monolithic_seconds,
+    a single exposed bucket).  Returns ``(blocking_seconds,
     overlapped_seconds)``.  Fault-free so the comparison is exactly
     reproducible.
     """
@@ -198,18 +198,18 @@ def _cmd_export(args: argparse.Namespace) -> int:
     finally:
         disable()
     if args.check_overlap_speedup:
-        mono_s, overlap_s = check_overlap_speedup(
+        blocking_s, overlap_s = check_overlap_speedup(
             world=args.world, algorithm=args.algorithm, seed=args.seed
         )
-        if not overlap_s < mono_s:
+        if not overlap_s < blocking_s:
             console.error(
-                f"overlap did not beat monolithic: {overlap_s:.6f}s vs "
-                f"{mono_s:.6f}s simulated"
+                f"overlap did not beat the blocking exchange: {overlap_s:.6f}s vs "
+                f"{blocking_s:.6f}s simulated"
             )
             return 1
         console.info(
-            f"overlap check: {mono_s:.4f}s monolithic -> {overlap_s:.4f}s "
-            f"overlapped ({1 - overlap_s / mono_s:.1%} faster, simulated)"
+            f"overlap check: {blocking_s:.4f}s blocking -> {overlap_s:.4f}s "
+            f"overlapped ({1 - overlap_s / blocking_s:.1%} faster, simulated)"
         )
     tracer = get_tracer()
     console.info(

@@ -4,9 +4,10 @@ Three families of invariants:
 
 * **Parity** — bucketing and overlap are pure schedule transformations.
   For partition-invariant algorithms (tree, rhd) the final weights are
-  *bitwise identical* to the monolithic exchange at any bucket size; ring
-  reassigns chunk ownership by buffer position, so it agrees to
-  summation-reassociation tolerance only (documented caveat).
+  *bitwise identical* to the single-bucket blocking exchange at any bucket
+  size.  Ring is bitwise identical when the plan is one bucket; across
+  several buckets it reassigns chunk ownership by buffer position, so it
+  agrees to summation-reassociation tolerance only (documented caveat).
 * **Speed** — on a bandwidth-heavy α-β profile with a many-tensor model
   (the ResNet regime), overlap cuts simulated step time ≥25% at P=8 —
   the acceptance bar — and the exposed/busy accounting shows most comm
@@ -66,6 +67,15 @@ class TestParity:
                     overlap=True)
         assert _max_diff(mono.final_state, over.final_state) == 0.0
 
+    def test_ring_single_bucket_overlap_bitwise_identical(self):
+        """One bucket holds all of |W| in ``parameters()`` order — the
+        blocking exchange's buffer — so overlapped ring reduces the same
+        vector with the same chunking."""
+        w_bytes = sum(p.data.nbytes for p in _mlp_builder().parameters())
+        blocking = _run(algorithm="ring")
+        over = _run(algorithm="ring", bucket_bytes=w_bytes, overlap=True)
+        assert _max_diff(blocking.final_state, over.final_state) == 0.0
+
     def test_ring_agrees_to_reassociation_tolerance(self):
         mono = _run(algorithm="ring")
         over = _run(algorithm="ring", bucket_bytes=256, overlap=True)
@@ -112,7 +122,7 @@ class TestOverlapSpeedup:
     def test_exposed_vs_busy_accounting(self):
         mono = _resnet_run(overlap=False)
         over = _resnet_run(overlap=True)
-        # monolithic: every comm second is exposed
+        # blocking: every comm second is exposed
         assert mono.exposed_comm_seconds == pytest.approx(
             mono.comm_busy_seconds
         )

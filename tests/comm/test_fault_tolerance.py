@@ -204,14 +204,14 @@ class TestFaultPricing:
         assert f.time_of(1) >= 2.0
 
     def test_collectives_survive_loss_bit_identically(self):
-        from repro.comm.collectives import ALLREDUCE_ALGORITHMS
+        from repro.comm.collectives import ALLREDUCE_ALGORITHMS, allreduce
 
         rng = np.random.default_rng(0)
         data = rng.normal(size=(4, 37))
         expected = data.sum(axis=0)
-        for name, fn in ALLREDUCE_ALGORITHMS.items():
-            def worker(comm, fn=fn):
-                return fn(comm, data[comm.rank].copy(), tag=1000)
+        for name in ALLREDUCE_ALGORITHMS:
+            def worker(comm, name=name):
+                return allreduce(comm, data[comm.rank].copy(), name, tag=1000)
 
             results, _ = run_cluster(
                 4, worker,

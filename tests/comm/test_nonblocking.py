@@ -64,13 +64,16 @@ class TestIallreduce:
     @pytest.mark.parametrize("algorithm", ["tree", "ring", "rhd"])
     def test_values_match_blocking(self, algorithm):
         def worker(comm):
-            return comm.iallreduce(_rank_data(comm.rank),
-                                   algorithm=algorithm).wait()
+            nonblocking = comm.iallreduce(_rank_data(comm.rank),
+                                          algorithm=algorithm).wait()
+            blocking = comm.allreduce(_rank_data(comm.rank),
+                                      algorithm=algorithm)
+            return nonblocking, blocking
 
         results, _ = run_cluster(4, worker)
-        expected = _expected_sum(4)
-        for got in results:
-            np.testing.assert_allclose(got, expected, rtol=1e-12)
+        for nonblocking, blocking in results:
+            np.testing.assert_array_equal(nonblocking, blocking)
+            np.testing.assert_array_equal(nonblocking, results[0][1])
 
     @pytest.mark.parametrize("algorithm", ["tree", "ring", "rhd"])
     def test_simulated_cost_matches_analytic(self, algorithm):

@@ -115,6 +115,22 @@ def test_metrics_export_from_traced_run(tmp_path):
         obs.export_metrics(str(json_path), fmt="xml")
 
 
+def test_tree_allreduce_records_only_allreduce_telemetry():
+    """A tree allreduce is one collective: it must not also show up as the
+    reduce and broadcast the program never called."""
+    from repro.comm import run_cluster
+
+    obs.enable()
+    run_cluster(4, lambda comm: comm.allreduce(np.ones(8), algorithm="tree"))
+    tracer = obs.get_tracer()
+    assert len(tracer.spans_named("comm.allreduce")) == 4
+    assert tracer.spans_named("comm.reduce") == []
+    assert tracer.spans_named("comm.bcast") == []
+    names = {m.name for m in obs.get_registry().series()}
+    assert "comm.allreduce_s" in names
+    assert not names & {"comm.reduce_s", "comm.bcast_s"}
+
+
 def test_timed_skips_histogram_labels_from_span_attrs():
     obs.enable()
     with obs.timed("op", hist_labels={"algorithm": "ring"}, rank=3, iteration=17):
