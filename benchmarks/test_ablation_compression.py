@@ -71,7 +71,7 @@ def train_with(compressor_factory):
 def sweep():
     rows = []
     for name, factory in [
-        ("full fp64 (baseline)", NoCompression),
+        ("full fp32 (baseline)", NoCompression),
         ("1-bit + error feedback", OneBitCompressor),
         ("top-10% + error feedback", lambda: TopKCompressor(k=20)),
     ]:

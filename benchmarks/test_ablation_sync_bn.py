@@ -2,7 +2,9 @@
 
 Quantifies the paper-stack behaviour (per-worker BN statistics) against the
 synchronised alternative: SyncBN restores exact sequential consistency at
-the cost of two small allreduces per BN layer per iteration.
+the cost of two small allreduces per BN layer per iteration.  The drift
+bound (1e-9) is a float64 bound, so the models are widened with
+``Module.astype``.
 """
 
 import numpy as np
@@ -21,13 +23,13 @@ SEED, WORLD, EPOCHS, BATCH = 19, 4, 4, 32
 
 def run_variant(bn_kind):
     def builder():
-        return mlp(8, [12], 3, batch_norm=bn_kind, seed=SEED)
+        return mlp(8, [12], 3, batch_norm=bn_kind, seed=SEED).astype(np.float64)
 
     def opt_builder(params):
         return SGD(params, momentum=0.9, weight_decay=0.0005)
 
     # serial reference with plain BN (= full-batch statistics)
-    serial_model = mlp(8, [12], 3, batch_norm=True, seed=SEED)
+    serial_model = mlp(8, [12], 3, batch_norm=True, seed=SEED).astype(np.float64)
     serial = Trainer(serial_model, opt_builder(serial_model.parameters()),
                      ConstantLR(0.1), shuffle_seed=SEED)
     serial.fit(_X, _Y, _X[:48], _Y[:48], epochs=EPOCHS, batch_size=BATCH)

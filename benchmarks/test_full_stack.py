@@ -70,8 +70,7 @@ def test_full_stack(benchmark):
     # (b) simulated time ~ analytic prediction for the same configuration
     iters = s.epochs * iterations_per_epoch(ds.n_train, batch)
     t_comp = compute_time_per_iteration(cost, batch / WORLD, knl)
-    grad_bytes = cluster.final_state and sum(
-        v.size for v in cluster.final_state.values()) * 8
+    grad_bytes = sum(v.nbytes for v in cluster.final_state.values())
     t_comm = allreduce_cost(WORLD, grad_bytes, network("opa"), "ring")
     predicted = iters * (t_comp + t_comm)
     assert cluster.simulated_seconds == pytest.approx(predicted, rel=0.05)

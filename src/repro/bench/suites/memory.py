@@ -27,10 +27,10 @@ def _arena_cycle():
 
     arena = Arena()
     shape = (_BATCH, 64, _IMAGE, _IMAGE)
-    arena.release(arena.acquire(shape))  # warm the freelist
+    arena.release(arena.acquire(shape, np.float64))  # warm the freelist
 
     def step():
-        buf = arena.acquire(shape)
+        buf = arena.acquire(shape, np.float64)
         arena.release(buf)
 
     return step

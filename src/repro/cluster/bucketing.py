@@ -12,8 +12,9 @@ Two pieces:
 
 * :class:`BucketPlan` — a static partition of the model's parameters, in
   reverse ``parameters()`` order (the order backward finalises gradients),
-  into ~``bucket_bytes`` buckets, each with a persistent flat float64
-  buffer reused every step (no per-iteration |W| allocation).  Within a
+  into ~``bucket_bytes`` buckets, each with a persistent flat buffer in
+  the parameters' dtype, reused every step (no per-iteration |W|
+  allocation).  Within a
   bucket the buffer is laid out in ``parameters()`` order, so a plan of
   one bucket packs exactly :func:`repro.cluster.packing.flatten_grads`'
   vector.
@@ -27,7 +28,9 @@ Two pieces:
   reached (empty shards), waits the buckets in plan order, and unpacks the
   reduced gradients.  In blocking mode (``overlap=False``) the same plan
   runs as sequential per-bucket blocking allreduces — bucketed wire
-  traffic without the overlap.  This is the only gradient-exchange path of
+  traffic without the overlap — or, with a compressor factory, as
+  per-bucket compressed exchanges, each bucket keeping its own compressor
+  (error-feedback residuals are per bucket, sized and typed like it).  This is the only gradient-exchange path of
   allreduce-mode sync SGD: without ``bucket_bytes`` or ``overlap`` it runs
   a one-bucket plan, i.e. one blocking allreduce of all of |W|.
 
@@ -76,7 +79,9 @@ class Bucket:
         self.params = tuple(params)
         self.size = sum(p.size for p in self.params)
         self.nbytes = sum(p.data.nbytes for p in self.params)
-        self.buffer = np.empty(self.size, dtype=np.float64)
+        self.buffer = np.empty(
+            self.size, dtype=np.result_type(*(p.data.dtype for p in self.params))
+        )
 
     def pack(self, weight: float = 1.0) -> np.ndarray:
         """Gather the parameters' gradients into the persistent buffer."""
@@ -152,9 +157,9 @@ class BucketedExchange:
         plan: BucketPlan,
         algorithm: str = "tree",
         overlap: bool = True,
-        compressor=None,
+        compressor_factory=None,
     ):
-        if overlap and compressor is not None:
+        if overlap and compressor_factory is not None:
             raise ValueError(
                 "compressed exchange is blocking per bucket; use overlap=False"
             )
@@ -162,7 +167,12 @@ class BucketedExchange:
         self.plan = plan
         self.algorithm = algorithm
         self.overlap = overlap
-        self.compressor = compressor
+        #: one stateful compressor per bucket (``None``: full precision)
+        self.compressors = (
+            [compressor_factory() for _ in plan.buckets]
+            if compressor_factory is not None
+            else None
+        )
         #: cumulative simulated seconds this rank was blocked on gradient comm
         self.exposed_seconds = 0.0
         #: cumulative simulated seconds of allreduce occupancy (sum of buckets)
@@ -286,10 +296,12 @@ class BucketedExchange:
         start = self.comm.time
         for bucket in self.plan.buckets:
             flat = bucket.pack(weight)
-            if self.compressor is not None:
+            if self.compressors is not None:
                 from .compression import compressed_allreduce
 
-                total = compressed_allreduce(self.comm, flat, self.compressor)
+                total = compressed_allreduce(
+                    self.comm, flat, self.compressors[bucket.index]
+                )
             else:
                 total = self.comm.allreduce(flat, algorithm=self.algorithm)
             bucket.unpack(total)

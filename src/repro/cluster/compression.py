@@ -56,11 +56,14 @@ class CompressionStats:
 
 
 class Compressor:
-    """Base compressor: flat float64 gradient → wire payload → approximation.
+    """Base compressor: flat gradient → wire payload → approximation.
 
     Stateful: error-feedback compressors accumulate the quantisation
     residual locally and add it to the next gradient, which is what makes
-    1-bit/top-k training converge.
+    1-bit/top-k training converge.  The residual has the shape and dtype of
+    the gradient it first sees, so one compressor serves one gradient
+    buffer (the bucketed exchange keeps one per bucket).  Payloads carry
+    their values in the gradient's dtype and decompress back to it.
     """
 
     def __init__(self) -> None:
@@ -82,7 +85,7 @@ class Compressor:
 
 
 class NoCompression(Compressor):
-    """Identity baseline: full fp64 gradients on the wire."""
+    """Identity baseline: full-precision gradients on the wire."""
 
     def compress(self, grad: np.ndarray):
         self.stats.record(grad.nbytes, grad.nbytes)
@@ -101,7 +104,7 @@ class OneBitCompressor(Compressor):
     The scale is the mean magnitude of the feedback-corrected gradient, so
     the reconstruction ``scale·sign`` is the least-squares 1-bit fit; the
     residual (what the bit could not express) feeds back into the next step.
-    Wire cost: 1 bit per element + 8 bytes of scale.
+    Wire cost: 1 bit per element + one scale in the gradient's dtype.
     """
 
     def __init__(self) -> None:
@@ -112,28 +115,28 @@ class OneBitCompressor(Compressor):
         if self.residual is None:
             self.residual = np.zeros_like(grad)
         corrected = grad + self.residual
-        scale = float(np.mean(np.abs(corrected))) if corrected.size else 0.0
+        scale = corrected.dtype.type(np.mean(np.abs(corrected)) if corrected.size else 0.0)
         bits = np.signbit(corrected)  # True = negative
         reconstruction = np.where(bits, -scale, scale)
         self.residual = corrected - reconstruction
         packed = np.packbits(bits)
-        self.stats.record(grad.nbytes, packed.nbytes + 8)
+        self.stats.record(grad.nbytes, packed.nbytes + scale.nbytes)
         return (scale, packed)
 
     def decompress(self, payload, n: int) -> np.ndarray:
         scale, packed = payload
         bits = np.unpackbits(packed, count=n).astype(bool)
-        return np.where(bits, -scale, scale).astype(np.float64)
+        return np.where(bits, -scale, scale)
 
     def payload_nbytes(self, payload) -> int:
         scale, packed = payload
-        return packed.nbytes + 8
+        return packed.nbytes + scale.nbytes
 
 
 class TopKCompressor(Compressor):
     """Keep the k largest-magnitude coordinates; the rest feed back.
 
-    Wire cost: k × (4-byte index + 8-byte value).
+    Wire cost: k × (4-byte index + one value in the gradient's dtype).
     """
 
     def __init__(self, k: int):
@@ -153,12 +156,12 @@ class TopKCompressor(Compressor):
         values = corrected[idx].copy()
         self.residual = corrected.copy()
         self.residual[idx] = 0.0
-        self.stats.record(grad.nbytes, k * 12)
+        self.stats.record(grad.nbytes, k * (4 + grad.itemsize))
         return (idx.astype(np.int64), values)
 
     def decompress(self, payload, n: int) -> np.ndarray:
         idx, values = payload
-        out = np.zeros(n)
+        out = np.zeros(n, dtype=values.dtype)
         out[idx] = values
         return out
 
@@ -172,7 +175,8 @@ class UniformQuantizer(Compressor):
 
     Deterministic round-to-nearest; with b ≥ 8 the residual is negligible
     so no feedback is kept (matching fp16/int8 gradient compression in
-    production stacks).  Wire cost: b bits per element + 16 bytes of range.
+    production stacks).  Wire cost: b bits per element + the range's two
+    endpoints in the gradient's dtype.
     """
 
     def __init__(self, bits: int = 8):
@@ -182,28 +186,29 @@ class UniformQuantizer(Compressor):
         self.bits = int(bits)
 
     def compress(self, grad: np.ndarray):
-        lo = float(grad.min()) if grad.size else 0.0
-        hi = float(grad.max()) if grad.size else 0.0
+        dt = grad.dtype.type
+        lo = dt(grad.min() if grad.size else 0.0)
+        hi = dt(grad.max() if grad.size else 0.0)
         levels = (1 << self.bits) - 1
         span = hi - lo
         if span == 0.0:
             codes = np.zeros(grad.shape, dtype=np.uint16)
         else:
             codes = np.rint((grad - lo) / span * levels).astype(np.uint16)
-        nbytes = (grad.size * self.bits + 7) // 8 + 16
-        self.stats.record(grad.nbytes, nbytes)
-        return (lo, hi, codes)
+        payload = (lo, hi, codes)
+        self.stats.record(grad.nbytes, self.payload_nbytes(payload))
+        return payload
 
     def decompress(self, payload, n: int) -> np.ndarray:
         lo, hi, codes = payload
         levels = (1 << self.bits) - 1
         if hi == lo:
             return np.full(n, lo)
-        return lo + codes.astype(np.float64) / levels * (hi - lo)
+        return lo + codes.astype(lo.dtype) / levels * (hi - lo)
 
     def payload_nbytes(self, payload) -> int:
         lo, hi, codes = payload
-        return (codes.size * self.bits + 7) // 8 + 16
+        return (codes.size * self.bits + 7) // 8 + lo.nbytes + hi.nbytes
 
 
 def compressed_allreduce(
@@ -219,7 +224,7 @@ def compressed_allreduce(
     n = grad.size
     payload = compressor.compress(grad.ravel())
     gathered = comm.allgather(payload)
-    total = np.zeros(n)
+    total = np.zeros(n, dtype=grad.dtype)
     for p in gathered:
         total += compressor.decompress(p, n)
     return total.reshape(grad.shape)

@@ -50,7 +50,7 @@ def _unflatten_into(flat: np.ndarray, targets: Sequence[np.ndarray]) -> None:
 def flatten_grads(
     params: Sequence[Parameter], out: np.ndarray | None = None
 ) -> np.ndarray:
-    """One contiguous float64 buffer holding every gradient, in order.
+    """One contiguous buffer (the gradients' dtype) holding every gradient, in order.
 
     ``out`` lets the per-iteration caller reuse one bucket buffer instead of
     reallocating |W| floats every step (the same buffer-reuse discipline

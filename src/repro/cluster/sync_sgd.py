@@ -106,9 +106,10 @@ class SyncSGDConfig:
         charges no compute time.
     compressor_factory:
         Optional ``() -> Compressor`` enabling compressed gradient exchange
-        (allreduce mode only): each rank keeps its own stateful compressor
-        (error feedback is per-worker) and the wire carries compressed
-        payloads.  ``None`` = full-precision exchange.
+        (allreduce mode only): each rank calls it once per gradient bucket
+        and keeps those stateful compressors (error feedback is per worker
+        and per bucket) and the wire carries compressed payloads.  ``None``
+        = full-precision exchange.
     bucket_bytes:
         Split the gradient exchange into ~this many bytes per bucket
         (allreduce mode only); ``None`` with ``overlap=False`` exchanges
@@ -385,6 +386,9 @@ def train_sync_sgd(
 
         def body(comm: Communicator):
             model = model_builder()
+            # shards are cast to the replica's dtype, so float64 data cannot
+            # widen a float32 model
+            dtype = model.parameters()[0].data.dtype
             optimizer = optimizer_builder(model.parameters())
             loss_fn = loss_fn_proto()
             memory = None
@@ -410,9 +414,6 @@ def train_sync_sgd(
             for bn in sync_bn:
                 bn.set_comm(comm)
             uses_sync_bn = bool(sync_bn)
-            compressor = (
-                cfg.compressor_factory() if cfg.compressor_factory else None
-            )
             if cfg.mode == "allreduce":
                 # The one allreduce-mode exchange (see repro.cluster.bucketing):
                 # without bucket_bytes or overlap its plan is a single bucket
@@ -427,7 +428,7 @@ def train_sync_sgd(
                     BucketPlan.from_model(model, bucket_bytes=bucket_bytes),
                     algorithm=cfg.algorithm,
                     overlap=cfg.overlap,
-                    compressor=compressor,
+                    compressor_factory=cfg.compressor_factory,
                 )
                 if cfg.overlap:
                     exchange.install_hooks(model)
@@ -435,7 +436,7 @@ def train_sync_sgd(
                 # Master mode reuses |W| flat buffers for the gradient
                 # reduce and the weight broadcast.
                 grad_bucket = np.empty(
-                    sum(p.size for p in model.parameters()), dtype=np.float64
+                    sum(p.size for p in model.parameters()), dtype=dtype
                 )
                 param_bucket = np.empty_like(grad_bucket)
 
@@ -481,7 +482,8 @@ def train_sync_sgd(
                             # BN's global reductions see consistent
                             # per-example 1/N scaling.
                             if len(local_idx) > 0 or uses_sync_bn:
-                                xb, yb = x_train[local_idx], y_train[local_idx]
+                                xb = np.asarray(x_train[local_idx], dtype=dtype)
+                                yb = y_train[local_idx]
                                 logits = model.forward(xb)
                                 batch_loss = loss_fn.forward(logits, yb)
                                 grad = loss_fn.backward()
@@ -536,7 +538,8 @@ def train_sync_sgd(
                         model.eval()
                         preds = []
                         for elo in range(0, len(x_test), 512):
-                            preds.append(model.forward(x_test[elo : elo + 512]))
+                            preds.append(model.forward(
+                                np.asarray(x_test[elo : elo + 512], dtype=dtype)))
                         test_acc = top1_accuracy(np.concatenate(preds), y_test)
                     history.append(
                         EpochRecord(

@@ -29,8 +29,8 @@ algorithms reduce with exact elementwise addition in rank-deterministic
 order, so every rank computes bit-identical results — the foundation of the
 sequential-consistency guarantee.
 
-Simulated time against :func:`allreduce_cost` (β in seconds per byte, 8
-bytes per element; pinned by ``tests/comm/test_allreduce_drivers.py``): ring
+Simulated time against :func:`allreduce_cost` (β in seconds per byte,
+8-byte float64 elements; pinned by ``tests/comm/test_allreduce_drivers.py``): ring
 and rhd take the same time blocking and nonblocking, within 2(P−1)·8β (ring)
 and 2·log₂P·8β (rhd) of the model — the rounding of uneven chunks.  Tree
 matches the model at power-of-two P.  Elsewhere the binomial tree is
@@ -69,6 +69,14 @@ def _coll_span(op: str, comm, payload=None, algorithm: str | None = None):
         attrs["algorithm"] = algorithm
         labels = {"algorithm": algorithm}
     return _timed(f"comm.{op}", hist_labels=labels, **attrs)
+
+
+def float_copy(array) -> np.ndarray:
+    """A fresh copy of ``array`` to reduce into: floating input keeps its
+    dtype (a float32 payload stays 4 bytes per element on the wire), any
+    other input (integers, Python lists) becomes float64."""
+    arr = np.asarray(array)
+    return np.array(arr, dtype=arr.dtype if arr.dtype.kind == "f" else np.float64)
 
 
 __all__ = [
@@ -121,7 +129,7 @@ def reduce_tree(comm, array: np.ndarray, root: int = 0, tag: int = 0):
     ``None``.
     """
     size, rank = comm.size, comm.rank
-    acc = np.array(array, dtype=np.float64, copy=True)
+    acc = float_copy(array)
     if size == 1:
         return acc
     with _coll_span("reduce", comm, acc):
@@ -139,7 +147,7 @@ def reduce_tree(comm, array: np.ndarray, root: int = 0, tag: int = 0):
 
 
 # --------------------------------------------------------------------------
-# Allreduce algorithms: generators over a float64 vector ``flat`` that they
+# Allreduce algorithms: generators over a floating vector ``flat`` that they
 # may reduce in place.  They send through ``send(dst, payload, tag)``, yield
 # ``(src, tag)`` for each message they need (the driver sends the payload
 # back in), and use ``tag`` and ``tag + 1`` for their two phases.
@@ -273,12 +281,12 @@ def allreduce(comm, array, algorithm: str = "tree", tag: int = 0) -> np.ndarray:
 
     Drives ``ALLREDUCE_ALGORITHMS[algorithm]`` with ``comm.send`` and answers
     each yield with ``comm.recv``, so every message is charged to the rank
-    clock as in blocking MPI.  Returns a new float64 array of ``array``'s
-    shape.
+    clock as in blocking MPI.  Returns a new array of ``array``'s shape in
+    its floating dtype (see :func:`float_copy`).
     """
     check_allreduce(algorithm, comm.size)
     shape = np.shape(array)
-    flat = np.array(array, dtype=np.float64).reshape(-1)
+    flat = float_copy(array).reshape(-1)
     with _coll_span("allreduce", comm, array, algorithm=algorithm):
         steps = ALLREDUCE_ALGORITHMS[algorithm](
             comm.rank, comm.size, comm.send, flat, tag

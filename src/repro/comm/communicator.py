@@ -133,7 +133,7 @@ class Communicator:
         launch its iallreduces in the same sequence.  Completion order is
         free — any number may be in flight, each on a private tag block.
         With ``copy=False`` the operation reduces in place into ``array``
-        (which must be a contiguous float64 vector).
+        (which must be a contiguous floating vector).
         """
         return AllreduceRequest(
             self, array, algorithm, tag=self._next_tag(), copy=copy

@@ -122,9 +122,10 @@ def _record_message(kind: str, nbytes: int) -> None:
 
 
 def payload_nbytes(payload) -> int:
-    """Wire size of a payload: ndarray buffers are exact, scalars 8 bytes,
-    everything else a small fixed envelope (control messages)."""
-    if isinstance(payload, np.ndarray):
+    """Wire size of a payload: ndarray buffers and NumPy scalars are exact,
+    Python scalars 8 bytes, everything else a small fixed envelope (control
+    messages)."""
+    if isinstance(payload, (np.ndarray, np.generic)):
         return payload.nbytes
     if isinstance(payload, (int, float, np.floating, np.integer)):
         return 8

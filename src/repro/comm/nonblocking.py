@@ -42,7 +42,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .collectives import ALLREDUCE_ALGORITHMS, check_allreduce
+from .collectives import ALLREDUCE_ALGORITHMS, check_allreduce, float_copy
 from .fabric import SimulatedFabric
 
 __all__ = [
@@ -164,10 +164,8 @@ class AllreduceRequest(Request):
         self.rank = comm.rank
         self.size = comm.size
         self.algorithm = algorithm
-        self._shape = np.asarray(array).shape
-        flat = np.asarray(array, dtype=np.float64).ravel()
-        if copy:
-            flat = flat.copy()
+        self._shape = np.shape(array)
+        flat = float_copy(array).ravel() if copy else np.asarray(array).ravel()
         self.launch_time = comm.time
         self._op_time = self.launch_time
         self._result: np.ndarray | None = None

@@ -5,8 +5,9 @@ Context in the paper: NVIDIA's 2-hour DGX-1 AlexNet figure used
 half-precision, "whose cost is half of the standard single-precision
 operation", while all the paper's own runs are fp32.  This module makes the
 comparison runnable: :class:`MixedPrecisionOptimizer` wraps any optimiser
-and reproduces fp16's numerical behaviour on our fp64 substrate by
-round-tripping gradients through ``np.float16``:
+and reproduces fp16's numerical behaviour on the fp32 substrate (or a
+float64 model, see ``Module.astype``) by round-tripping gradients through
+``np.float16`` and back to their own dtype:
 
 * small gradients **underflow to zero** in fp16 (the failure mode),
 * **loss scaling** multiplies the loss by S so gradients land in fp16's
@@ -30,9 +31,10 @@ FP16_MAX = 65504.0
 
 def fp16_roundtrip(x: np.ndarray) -> np.ndarray:
     """Quantise through IEEE fp16: values < ~6e-8 flush to zero, values
-    beyond ±65504 become ±inf — exactly half precision's behaviour."""
+    beyond ±65504 become ±inf — exactly half precision's behaviour.  The
+    result has ``x``'s dtype."""
     with np.errstate(over="ignore"):  # overflow to inf is the point
-        return x.astype(np.float16).astype(np.float64)
+        return x.astype(np.float16).astype(x.dtype)
 
 
 class MixedPrecisionOptimizer(Optimizer):

@@ -99,11 +99,21 @@ class Trainer:
         self.loss = loss if loss is not None else SoftmaxCrossEntropy()
         self.shuffle_seed = int(shuffle_seed)
         self.iteration = 0
+        # batches are cast to this parameter's dtype (read per step, so a
+        # later ``model.astype`` is followed)
+        params = model.parameters()
+        self._dtype_param = params[0] if params else None
         self.memory: MemoryContext | None = None
         if static_memory:
             self.memory = MemoryContext()
             self.model.bind_memory(self.memory)
             self.loss.bind_memory(self.memory)
+
+    def _cast(self, x: np.ndarray) -> np.ndarray:
+        """``x`` in the model's dtype (no copy when it already is), so a
+        float64 batch cannot widen a float32 network."""
+        p = self._dtype_param
+        return np.asarray(x, dtype=p.data.dtype) if p is not None else x
 
     def arena_stats(self) -> dict | None:
         """Arena accounting snapshot, or ``None`` when running eager."""
@@ -125,6 +135,7 @@ class Trainer:
 
         Returns (mean loss, top-1 train accuracy on the batch).
         """
+        x = self._cast(x)
         n = len(x)
         chunk = n if micro_batch_size is None else int(micro_batch_size)
         if chunk <= 0:
@@ -160,6 +171,7 @@ class Trainer:
         self, x: np.ndarray, y: np.ndarray, batch_size: int = 256
     ) -> float:
         """Top-1 accuracy over a held-out set, batched to bound memory."""
+        x = self._cast(x)
         with _timed("trainer.evaluate", examples=len(x)):
             self.model.eval()
             correct = RunningMean()

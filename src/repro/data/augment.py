@@ -50,13 +50,17 @@ def random_crop(pad: int = 2) -> Transform:
 
 
 def intensity_jitter(strength: float = 0.2) -> Transform:
-    """Per-example brightness/contrast jitter (the 'heavy' photometric part)."""
+    """Per-example brightness/contrast jitter (the 'heavy' photometric part).
+
+    The jitter is drawn in float64 and cast to the batch's dtype, so a
+    float32 batch stays float32.
+    """
 
     def transform(x: np.ndarray, rng: np.random.Generator) -> np.ndarray:
         n = len(x)
         scale = rng.uniform(1 - strength, 1 + strength, size=(n, 1, 1, 1))
         shift = rng.uniform(-strength, strength, size=(n, 1, 1, 1))
-        return x * scale + shift
+        return x * scale.astype(x.dtype) + shift.astype(x.dtype)
 
     return transform
 

@@ -119,11 +119,16 @@ def _sample_split(
             mask = (shifts[:, 0] == dy) & (shifts[:, 1] == dx)
             x[mask] = np.roll(x[mask], (int(dy), int(dx)), axis=(2, 3))
     x += rng.normal(scale=cfg.noise, size=x.shape)
-    return x.astype(np.float64), y.astype(np.int64)
+    return x, y.astype(np.int64)
 
 
 def make_dataset(cfg: SyntheticConfig | None = None, **kwargs) -> Dataset:
-    """Generate a synthetic dataset (pass a config or config kwargs)."""
+    """Generate a synthetic dataset (pass a config or config kwargs).
+
+    Images are float32, the precision models train in; they are drawn and
+    standardised in float64 (the same values at any precision) and cast
+    once at the end.
+    """
     if cfg is None:
         cfg = SyntheticConfig(**kwargs)
     elif kwargs:
@@ -135,9 +140,9 @@ def make_dataset(cfg: SyntheticConfig | None = None, **kwargs) -> Dataset:
     # standardise with train statistics (the usual mean/std preprocessing)
     mu, sd = x_train.mean(), x_train.std() + 1e-12
     return Dataset(
-        (x_train - mu) / sd,
+        ((x_train - mu) / sd).astype(np.float32),
         y_train,
-        (x_test - mu) / sd,
+        ((x_test - mu) / sd).astype(np.float32),
         y_test,
         cfg.num_classes,
         name=f"synthetic-c{cfg.num_classes}-s{cfg.image_size}",
@@ -152,11 +157,12 @@ def gaussian_blobs(
     noise: float = 1.0,
     seed: int = 0,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Flat-vector Gaussian-mixture classification data (unit tests, MLPs)."""
+    """Flat-vector Gaussian-mixture classification data (unit tests, MLPs),
+    drawn in float64 and returned as float32."""
     if n <= 0 or num_classes < 2 or dim <= 0:
         raise ValueError("invalid blob parameters")
     rng = np.random.default_rng(seed)
     centres = rng.normal(size=(num_classes, dim)) * separation
     y = rng.integers(0, num_classes, size=n)
     x = centres[y] + rng.normal(scale=noise, size=(n, dim))
-    return x, y
+    return x.astype(np.float32), y

@@ -2,11 +2,14 @@
 
 Every layer's hand-derived backward pass is validated against central
 differences; these helpers are also exported for downstream users who add
-custom layers.
+custom layers.  Central differences need float64 to resolve, so the checks
+run on a float64 copy of the layer or model (``Module.astype``); the
+caller's float32 module is left untouched.
 """
 
 from __future__ import annotations
 
+import copy
 from typing import Callable
 
 import numpy as np
@@ -62,6 +65,7 @@ def check_layer_gradients(
     and raises ``AssertionError`` when any exceeds ``tol``.
     """
     rng = rng if rng is not None else np.random.default_rng(123)
+    layer = copy.deepcopy(layer).astype(np.float64)
     x = np.asarray(x, dtype=np.float64)
     out = layer.forward(x.copy())
     proj = rng.normal(size=out.shape)
@@ -103,6 +107,8 @@ def check_model_loss_gradients(
     is verified.
     """
     rng = rng if rng is not None else np.random.default_rng(7)
+    model = copy.deepcopy(model).astype(np.float64)
+    x = np.asarray(x, dtype=np.float64)
     loss_fn = SoftmaxCrossEntropy()
 
     def objective() -> float:

@@ -78,7 +78,7 @@ class Sigmoid(_Elementwise):
     def forward(self, x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
         if self._memory is None and out is None:
             # numerically stable logistic: exp only ever sees non-positive args
-            y = np.empty_like(x, dtype=np.float64)
+            y = np.empty_like(x)
             pos = x >= 0
             y[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
             ex = np.exp(x[~pos])
@@ -91,14 +91,14 @@ class Sigmoid(_Elementwise):
         np.greater_equal(x, 0, out=pos)
         neg = self._buf("neg", x.shape, np.bool_)
         np.logical_not(pos, out=neg)
-        t = self._scratch(x.shape, np.float64)
-        y = out if out is not None else self._buf("y", x.shape, np.float64)
+        t = self._scratch(x.shape, x.dtype)
+        y = out if out is not None else self._buf("y", x.shape, x.dtype)
         np.negative(x, out=t, where=pos)
         np.exp(t, out=t, where=pos)
         np.add(t, 1.0, out=t, where=pos)
         np.divide(1.0, t, out=y, where=pos)
         np.exp(x, out=t, where=neg)
-        u = self._scratch(x.shape, np.float64)
+        u = self._scratch(x.shape, x.dtype)
         np.add(t, 1.0, out=u, where=neg)
         np.divide(t, u, out=y, where=neg)
         self._drop(u)
@@ -115,7 +115,7 @@ class Sigmoid(_Elementwise):
             return dx
         dx = out if out is not None else self._buf("dx", grad_out.shape, grad_out.dtype)
         np.multiply(grad_out, self._y, out=dx)
-        t = self._scratch(grad_out.shape, np.float64)
+        t = self._scratch(grad_out.shape, grad_out.dtype)
         np.subtract(1.0, self._y, out=t)
         dx *= t
         self._drop(t)
@@ -146,7 +146,7 @@ class Tanh(_Elementwise):
             dx = grad_out * (1.0 - self._y * self._y)
             self._y = None
             return dx
-        t = self._scratch(grad_out.shape, np.float64)
+        t = self._scratch(grad_out.shape, grad_out.dtype)
         np.multiply(self._y, self._y, out=t)
         np.subtract(1.0, t, out=t)
         dx = out if out is not None else self._buf("dx", grad_out.shape, grad_out.dtype)

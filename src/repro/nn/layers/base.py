@@ -21,7 +21,7 @@ from typing import Iterator
 
 import numpy as np
 
-from ..tensor import Parameter
+from ..tensor import Parameter, Workspace
 
 __all__ = ["Module", "Sequential"]
 
@@ -86,7 +86,7 @@ class Module:
         """
         return None
 
-    def _buf(self, tag: str, shape, dtype=np.float64) -> np.ndarray:
+    def _buf(self, tag: str, shape, dtype) -> np.ndarray:
         """Persistent slot when a memory context is bound, else a fresh array."""
         mem = self._memory
         if mem is not None:
@@ -104,7 +104,7 @@ class Module:
             return buf
         return np.empty(shape, dtype=dtype)
 
-    def _scratch(self, shape, dtype=np.float64) -> np.ndarray:
+    def _scratch(self, shape, dtype) -> np.ndarray:
         """Call-scoped buffer; pair with :meth:`_drop` before returning."""
         mem = self._memory
         if mem is not None:
@@ -172,6 +172,31 @@ class Module:
 
     def num_parameters(self) -> int:
         return sum(p.size for p in self.parameters())
+
+    def astype(self, dtype) -> "Module":
+        """Convert the subtree's floating state to ``dtype``, in place.
+
+        Parameter values and gradients and BatchNorm running statistics
+        are converted; cached buffers (workspaces, memoised arena slots)
+        are dropped so the next step allocates them in the new dtype.
+        Models are built in float32; ``astype(np.float64)`` is the one way
+        to get a float64 model (the reference precision of gradient checks
+        and sequential-consistency tests).  Returns ``self``.
+        """
+        dtype = np.dtype(dtype)
+        for m in self.modules():
+            m._astype_state(dtype)
+        return self
+
+    def _astype_state(self, dtype: np.dtype) -> None:
+        """Convert this module's own state (see :meth:`astype`)."""
+        for attr in vars(self).values():
+            if isinstance(attr, Parameter):
+                attr.data = attr.data.astype(dtype)
+                attr.grad = attr.grad.astype(dtype)
+            elif isinstance(attr, Workspace):
+                attr.clear()
+        vars(self).pop("_slot_memo", None)
 
     def register_grad_ready_hook(self, hook) -> "Module":
         """Call ``hook(module)`` after every ``backward`` on this module.
@@ -328,7 +353,7 @@ class Sequential(Module):
             if i == last:
                 return layer.forward(x, out=out) if out is not None else layer.forward(x)
             tgt = (
-                layers[i + 1].input_slot(shapes[i], np.float64)
+                layers[i + 1].input_slot(shapes[i], x.dtype)
                 if layer._fusion_source
                 else None
             )

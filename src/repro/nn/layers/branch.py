@@ -44,7 +44,7 @@ class ConcatBranches(Module):
             return np.concatenate(outs, axis=1)
         n = outs[0].shape[0]
         shape = (n, sum(self._splits), *outs[0].shape[2:])
-        y = out if out is not None else self._buf("y", shape, np.float64)
+        y = out if out is not None else self._buf("y", shape, outs[0].dtype)
         np.concatenate(outs, axis=1, out=y)
         return y
 
@@ -57,11 +57,11 @@ class ConcatBranches(Module):
         for i, (branch, width) in enumerate(zip(self.branches, self._splits)):
             g = grad_out[:, lo : lo + width]
             if buffered:
-                gbuf = self._buf(f"g{i}", g.shape, np.float64)
+                gbuf = self._buf(f"g{i}", g.shape, g.dtype)
                 np.copyto(gbuf, g)
                 contrib = branch.backward(gbuf)
                 if dx is None:
-                    dx = out if out is not None else self._buf("dx", contrib.shape, np.float64)
+                    dx = out if out is not None else self._buf("dx", contrib.shape, contrib.dtype)
                     np.copyto(dx, contrib)
                 else:
                     dx += contrib

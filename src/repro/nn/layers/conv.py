@@ -281,13 +281,13 @@ class Conv2D(Module):
             or len(x_shape) != 4
             or self.padding == 0
             or self._is_pointwise()
-            or np.dtype(dtype) != np.float64
+            or np.dtype(dtype) != self.weight.data.dtype
             or x_shape[1] != self.in_channels
         ):
             return None
         n, c, h, w = x_shape
         p = self.padding
-        xpad = self._buf("xpad", (n, c, h + 2 * p, w + 2 * p), np.float64)
+        xpad = self._buf("xpad", (n, c, h + 2 * p, w + 2 * p), dtype)
         if self._xpad_primed is not xpad:
             xpad[...] = 0.0
             self._xpad_primed = xpad
@@ -370,19 +370,20 @@ class Conv2D(Module):
         w2 = self.weight.data.reshape(g, og, ckk)
         # One batched BLAS route at every shape.  dW is a per-example GEMM
         # (og × L)·(L × ckk) — BLAS reads the transposed column view as-is,
-        # no staging copy — summed over the batch in the operands' dtype, so
-        # fp32 sums stay bitwise equal across the float64 buffers below;
-        # dcols broadcasts the transposed weights over the batch.
+        # no staging copy — summed over the batch in the gradient's dtype,
+        # which every buffer below shares; dcols broadcasts the transposed
+        # weights over the batch.
         # Destinations: arena scratch/slot when planned, the layer workspace
         # when eager, and fresh arrays only on the parity-test escape hatch.
+        dt = grad_out.dtype
         if buffered:
-            dw = self._scratch((g, og, ckk), np.float64)
-            dw_n = self._scratch((n, g, og, ckk), np.float64)
-            dcols = self._buf("dcols", (n, g, ckk, span), np.float64)
+            dw = self._scratch((g, og, ckk), dt)
+            dw_n = self._scratch((n, g, og, ckk), dt)
+            dcols = self._buf("dcols", (n, g, ckk, span), dt)
         elif self.fast_paths:
-            dw = self._workspace.get("dw", (g, og, ckk), np.float64)
-            dw_n = self._workspace.get("dw_n", (n, g, og, ckk), np.float64)
-            dcols = self._workspace.get("dcols", (n, g, ckk, span), np.float64)
+            dw = self._workspace.get("dw", (g, og, ckk), dt)
+            dw_n = self._workspace.get("dw_n", (n, g, og, ckk), dt)
+            dcols = self._workspace.get("dcols", (n, g, ckk, span), dt)
         else:
             dw = dw_n = dcols = None
         dw_n = np.matmul(go, cols_g.transpose(0, 1, 3, 2), out=dw_n)
@@ -394,7 +395,7 @@ class Conv2D(Module):
             self._drop(dw)
             db = None
             if self.bias is not None:
-                db = self._scratch((self.out_channels,), np.float64)
+                db = self._scratch((self.out_channels,), dt)
                 np.sum(grad_out, axis=(0, 2, 3), out=db)
                 self.bias.grad += db
                 self._drop(db)
@@ -410,7 +411,7 @@ class Conv2D(Module):
                     return out
                 return dxv
             if buffered:
-                dx = out if out is not None else self._buf("dx", x_shape, np.float64)
+                dx = out if out is not None else self._buf("dx", x_shape, dt)
                 dx[...] = 0.0
             else:
                 dx = np.zeros(x_shape, dtype=dcols.dtype)
@@ -422,17 +423,17 @@ class Conv2D(Module):
                 # Overlapping windows: scatter-add the clipped slices
                 # straight into the contiguous dx slot — no padded canvas,
                 # no interior-copy afterwards (values bitwise unchanged).
-                dx = out if out is not None else self._buf("dx", x_shape, np.float64)
+                dx = out if out is not None else self._buf("dx", x_shape, dt)
                 return col2im_clipped(dcols, x_shape, k, k, s, p, out=dx)
             pad_buf = self._buf(
                 "dx_pad", (n, self.in_channels, x_shape[2] + 2 * p, x_shape[3] + 2 * p),
-                np.float64,
+                dt,
             )
             dxv = col2im(dcols, x_shape, k, k, s, p, out=pad_buf)
             if p > 0:
                 # Launder the padded interior view into a contiguous slot so
                 # downstream reshapes stay allocation-free (values unchanged).
-                dx = out if out is not None else self._buf("dx", x_shape, np.float64)
+                dx = out if out is not None else self._buf("dx", x_shape, dt)
                 np.copyto(dx, dxv)
                 return dx
             if out is not None:
@@ -442,7 +443,7 @@ class Conv2D(Module):
         if self.fast_paths:
             pad_buf = self._workspace.get(
                 "dx_pad", (n, self.in_channels, x_shape[2] + 2 * p, x_shape[3] + 2 * p),
-                np.float64,
+                dt,
             )
             return col2im(dcols, x_shape, k, k, s, p, out=pad_buf)
         return col2im(dcols, x_shape, k, k, s, p)

@@ -67,12 +67,12 @@ class Dense(Module):
             dx = grad_out @ self.weight.data.T
             self._x = None
             return dx
-        dw = self._scratch((self.in_features, self.out_features), np.float64)
+        dw = self._scratch((self.in_features, self.out_features), grad_out.dtype)
         np.matmul(self._x.T, grad_out, out=dw)
         self.weight.grad += dw
         self._drop(dw)
         if self.bias is not None:
-            db = self._scratch((self.out_features,), np.float64)
+            db = self._scratch((self.out_features,), grad_out.dtype)
             np.sum(grad_out, axis=0, out=db)
             self.bias.grad += db
             self._drop(db)

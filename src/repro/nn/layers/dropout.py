@@ -55,18 +55,18 @@ class Dropout(Module):
         keep = 1.0 - self.p
         buffered = self._memory is not None or out is not None
         if buffered:
-            mask = self._buf("mask", x.shape, np.float64)
+            mask = self._buf("mask", x.shape, x.dtype)
             sel = self._buf("sel", x.shape, np.bool_)
         else:
-            mask = self._ws.get("mask", x.shape, np.float64)
+            mask = self._ws.get("mask", x.shape, x.dtype)
             sel = self._ws.get("sel", x.shape, np.bool_)
-        self.rng.random(out=mask)
+        self.rng.random(dtype=mask.dtype, out=mask)
         np.less(mask, keep, out=sel)
         np.divide(sel, keep, out=mask)
         self._mask = mask
         if not buffered:
             return x * mask
-        y = out if out is not None else self._buf("y", x.shape, np.float64)
+        y = out if out is not None else self._buf("y", x.shape, x.dtype)
         np.multiply(x, mask, out=y)
         return y
 

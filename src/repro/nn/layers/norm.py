@@ -36,11 +36,16 @@ class BatchNorm(Module):
         self.num_features = num_features
         self.eps = float(eps)
         self.momentum = float(momentum)
-        self.gamma = Parameter(np.ones(num_features), weight_decay=0.0)
-        self.beta = Parameter(np.zeros(num_features), weight_decay=0.0)
-        self.running_mean = np.zeros(num_features)
-        self.running_var = np.ones(num_features)
+        self.gamma = Parameter(np.ones(num_features, dtype=np.float32), weight_decay=0.0)
+        self.beta = Parameter(np.zeros(num_features, dtype=np.float32), weight_decay=0.0)
+        self.running_mean = np.zeros(num_features, dtype=np.float32)
+        self.running_var = np.ones(num_features, dtype=np.float32)
         self._cache: tuple | None = None
+
+    def _astype_state(self, dtype: np.dtype) -> None:
+        super()._astype_state(dtype)
+        self.running_mean = self.running_mean.astype(dtype)
+        self.running_var = self.running_var.astype(dtype)
 
     def output_shape(self, input_shape: Shape) -> Shape:
         if input_shape[0] != self.num_features:
@@ -76,10 +81,10 @@ class BatchNorm(Module):
         if self._memory is None and out is None:
             xhat = (x - mean_e) * inv_e
             return g_e * xhat + b_e, xhat
-        xhat = self._buf("xhat", x.shape, np.float64)
+        xhat = self._buf("xhat", x.shape, x.dtype)
         np.subtract(x, mean_e, out=xhat)
         xhat *= inv_e
-        y = out if out is not None else self._buf("y", x.shape, np.float64)
+        y = out if out is not None else self._buf("y", x.shape, x.dtype)
         np.multiply(g_e, xhat, out=y)
         y += b_e
         return y, xhat
@@ -123,17 +128,17 @@ class BatchNorm(Module):
         # Same expression tree evaluated into reusable buffers; every binary op
         # keeps the eager operand order (or swaps a commutative multiply, which
         # is bitwise-neutral), so the result is identical.
-        t = self._scratch(grad_out.shape, np.float64)
+        t = self._scratch(grad_out.shape, grad_out.dtype)
         np.multiply(grad_out, xhat, out=t)
         self.gamma.grad += t.sum(axis=axes)
         self.beta.grad += grad_out.sum(axis=axes)
         g = self._expand(self.gamma.data, nd)
-        dxh = self._scratch(grad_out.shape, np.float64)
+        dxh = self._scratch(grad_out.shape, grad_out.dtype)
         np.multiply(grad_out, g, out=dxh)
         sum_dxhat = self._expand(dxh.sum(axis=axes), nd)
         np.multiply(dxh, xhat, out=t)
         sum_dxhat_xhat = self._expand(t.sum(axis=axes), nd)
-        dx = out if out is not None else self._buf("dx", grad_out.shape, np.float64)
+        dx = out if out is not None else self._buf("dx", grad_out.shape, grad_out.dtype)
         np.multiply(dxh, m, out=dx)
         dx -= sum_dxhat
         np.multiply(xhat, sum_dxhat_xhat, out=t)
@@ -185,10 +190,14 @@ class SyncBatchNorm(BatchNorm):
             return super().forward(x, out=out)
         axes = self._reduce_axes(x.ndim)
         local_count = float(np.prod([x.shape[a] for a in axes])) if x.size else 0.0
-        local_sum = x.sum(axis=axes) if x.size else np.zeros(self.num_features)
-        local_sq = (x * x).sum(axis=axes) if x.size else np.zeros(self.num_features)
-        # one fused allreduce: [count, sum_c..., sumsq_c...]
-        packed = np.concatenate(([local_count], local_sum, local_sq))
+        zeros = np.zeros(self.num_features, dtype=x.dtype)
+        local_sum = x.sum(axis=axes) if x.size else zeros
+        local_sq = (x * x).sum(axis=axes) if x.size else zeros
+        # one fused allreduce: [count, sum_c..., sumsq_c...], packed in the
+        # activations' dtype so neither the wire nor the running stats widen
+        packed = np.concatenate(
+            (np.array([local_count], dtype=x.dtype), local_sum, local_sq)
+        )
         total = self._allreduce(packed)
         count = max(total[0], 1.0)
         mean = total[1 : 1 + self.num_features] / count
@@ -213,7 +222,7 @@ class SyncBatchNorm(BatchNorm):
         if (self._memory is None and out is None) or grad_out.size == 0:
             g = self._expand(self.gamma.data, nd)
             dxhat = grad_out * g
-            zeros = np.zeros(self.num_features)
+            zeros = np.zeros(self.num_features, dtype=grad_out.dtype)
             # gamma/beta gradients stay LOCAL — the cluster's ordinary gradient
             # allreduce sums them across ranks like every other parameter, which
             # is exactly the global sum the serial run computes
@@ -238,12 +247,12 @@ class SyncBatchNorm(BatchNorm):
                 np.copyto(out, dx)
                 return out
             return dx
-        t = self._scratch(grad_out.shape, np.float64)
+        t = self._scratch(grad_out.shape, grad_out.dtype)
         np.multiply(grad_out, xhat, out=t)
         self.gamma.grad += t.sum(axis=axes)
         self.beta.grad += grad_out.sum(axis=axes)
         g = self._expand(self.gamma.data, nd)
-        dxh = self._scratch(grad_out.shape, np.float64)
+        dxh = self._scratch(grad_out.shape, grad_out.dtype)
         np.multiply(grad_out, g, out=dxh)
         np.multiply(dxh, xhat, out=t)
         local = np.concatenate([dxh.sum(axis=axes), t.sum(axis=axes)])
@@ -251,7 +260,7 @@ class SyncBatchNorm(BatchNorm):
         n = self.num_features
         sum_dxhat = self._expand(total[:n], nd)
         sum_dxhat_xhat = self._expand(total[n:], nd)
-        dx = out if out is not None else self._buf("dx", grad_out.shape, np.float64)
+        dx = out if out is not None else self._buf("dx", grad_out.shape, grad_out.dtype)
         np.multiply(dxh, count, out=dx)
         dx -= sum_dxhat
         np.multiply(xhat, sum_dxhat_xhat, out=t)
@@ -315,13 +324,13 @@ class LocalResponseNorm(Module):
     def _window_sum_into(self, sq: np.ndarray, out: np.ndarray) -> np.ndarray:
         """Buffered :meth:`_window_sum`: same prefix-sum/gather/subtract ops."""
         n, c = sq.shape[0], sq.shape[1]
-        csum = self._scratch((n, c + 1, *sq.shape[2:]), np.float64)
+        csum = self._scratch((n, c + 1, *sq.shape[2:]), sq.dtype)
         csum[:, :1] = 0.0
         np.cumsum(sq, axis=1, out=csum[:, 1:])
         hi, lo = self._bounds(c)
-        th = self._scratch(sq.shape, np.float64)
+        th = self._scratch(sq.shape, sq.dtype)
         np.take(csum, hi, axis=1, out=th)
-        tl = self._scratch(sq.shape, np.float64)
+        tl = self._scratch(sq.shape, sq.dtype)
         np.take(csum, lo, axis=1, out=tl)
         np.subtract(th, tl, out=out)
         self._drop(tl)
@@ -337,18 +346,18 @@ class LocalResponseNorm(Module):
             out = x * denom ** (-self.beta)
             self._cache = (x, denom)
             return out
-        sq = self._scratch(x.shape, np.float64)
+        sq = self._scratch(x.shape, x.dtype)
         np.multiply(x, x, out=sq)
-        ssum = self._scratch(x.shape, np.float64)
+        ssum = self._scratch(x.shape, x.dtype)
         self._window_sum_into(sq, ssum)
         self._drop(sq)
-        denom = self._buf("denom", x.shape, np.float64)
+        denom = self._buf("denom", x.shape, x.dtype)
         np.multiply(ssum, self.alpha / self.size, out=denom)
         denom += self.k
         self._drop(ssum)
-        t = self._scratch(x.shape, np.float64)
+        t = self._scratch(x.shape, x.dtype)
         np.power(denom, -self.beta, out=t)
-        y = out if out is not None else self._buf("y", x.shape, np.float64)
+        y = out if out is not None else self._buf("y", x.shape, x.dtype)
         np.multiply(x, t, out=y)
         self._drop(t)
         self._cache = (x, denom)
@@ -370,19 +379,19 @@ class LocalResponseNorm(Module):
             dx = grad_out * dpow - 2.0 * self.beta * (self.alpha / self.size) * x * tsum
             self._cache = None
             return dx
-        dpow = self._scratch(grad_out.shape, np.float64)
+        dpow = self._scratch(grad_out.shape, grad_out.dtype)
         np.power(denom, -self.beta, out=dpow)
-        t = self._scratch(grad_out.shape, np.float64)
+        t = self._scratch(grad_out.shape, grad_out.dtype)
         np.multiply(grad_out, x, out=t)
         t *= dpow
         t /= denom
-        tsum = self._scratch(grad_out.shape, np.float64)
+        tsum = self._scratch(grad_out.shape, grad_out.dtype)
         self._window_sum_into(t, tsum)
         self._drop(t)
-        dx = out if out is not None else self._buf("dx", grad_out.shape, np.float64)
+        dx = out if out is not None else self._buf("dx", grad_out.shape, grad_out.dtype)
         np.multiply(grad_out, dpow, out=dx)
         self._drop(dpow)
-        t2 = self._scratch(grad_out.shape, np.float64)
+        t2 = self._scratch(grad_out.shape, grad_out.dtype)
         # eager folds left: ((scalar * x) * tsum), so build the same tree
         np.multiply(x, 2.0 * self.beta * (self.alpha / self.size), out=t2)
         t2 *= tsum

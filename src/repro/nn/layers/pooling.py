@@ -78,7 +78,7 @@ class MaxPool2D(Module):
 
         hp, wp = h + 2 * p, w + 2 * p
         if self._memory is None and out is None:
-            dcols = np.zeros((n, c, k * k, oh * ow))
+            dcols = np.zeros((n, c, k * k, oh * ow), dtype=grad_out.dtype)
             go = grad_out.reshape(n, c, 1, oh * ow)
             np.put_along_axis(dcols, argmax[:, :, None, :], go, axis=2)
             dx = col2im(dcols.reshape(n * c, k * k, oh * ow), (n * c, 1, hp, wp), k, k, s, 0)
@@ -87,12 +87,12 @@ class MaxPool2D(Module):
                 dx = dx[:, :, p:-p, p:-p]
             self._cache = None
             return dx
-        dcols = self._scratch((n, c, k * k, oh * ow), np.float64)
+        dcols = self._scratch((n, c, k * k, oh * ow), grad_out.dtype)
         dcols[...] = 0.0
         go = grad_out.reshape(n, c, 1, oh * ow)
         np.put_along_axis(dcols, argmax[:, :, None, :], go, axis=2)
         if p > 0 and s < k:
-            dx = out if out is not None else self._buf("dx", (n, c, h, w), np.float64)
+            dx = out if out is not None else self._buf("dx", (n, c, h, w), grad_out.dtype)
             col2im_clipped(
                 dcols.reshape(n * c, k * k, oh * ow), (n * c, 1, h, w), k, k, s, p,
                 out=dx.reshape(n * c, 1, h, w),
@@ -100,7 +100,7 @@ class MaxPool2D(Module):
             self._drop(dcols)
             self._cache = None
             return dx
-        pad_buf = self._buf("dx_pad", (n * c, 1, hp, wp), np.float64)
+        pad_buf = self._buf("dx_pad", (n * c, 1, hp, wp), grad_out.dtype)
         dxv = col2im(
             dcols.reshape(n * c, k * k, oh * ow), (n * c, 1, hp, wp), k, k, s, 0,
             out=pad_buf,
@@ -109,7 +109,7 @@ class MaxPool2D(Module):
         dxv = dxv.reshape(n, c, hp, wp)
         self._cache = None
         if p > 0:
-            dx = out if out is not None else self._buf("dx", (n, c, h, w), np.float64)
+            dx = out if out is not None else self._buf("dx", (n, c, h, w), grad_out.dtype)
             np.copyto(dx, dxv[:, :, p:-p, p:-p])
             return dx
         if out is not None:
@@ -180,13 +180,13 @@ class AvgPool2D(Module):
             dx = col2im(np.ascontiguousarray(dcols), (n * c, 1, h, w), k, k, s, p)
             self._x_shape = None
             return dx.reshape(n, c, h, w)
-        go = self._scratch((n * c, 1, oh * ow), np.float64)
+        go = self._scratch((n * c, 1, oh * ow), grad_out.dtype)
         np.divide(grad_out.reshape(n * c, 1, oh * ow), k * k, out=go)
-        dcols = self._scratch((n * c, k * k, oh * ow), np.float64)
+        dcols = self._scratch((n * c, k * k, oh * ow), grad_out.dtype)
         dcols[...] = go
         self._drop(go)
         if p > 0 and s < k:
-            dx = out if out is not None else self._buf("dx", (n, c, h, w), np.float64)
+            dx = out if out is not None else self._buf("dx", (n, c, h, w), grad_out.dtype)
             col2im_clipped(
                 dcols, (n * c, 1, h, w), k, k, s, p, out=dx.reshape(n * c, 1, h, w)
             )
@@ -194,12 +194,12 @@ class AvgPool2D(Module):
             self._x_shape = None
             return dx
         hp, wp = h + 2 * p, w + 2 * p
-        pad_buf = self._buf("dx_pad", (n * c, 1, hp, wp), np.float64)
+        pad_buf = self._buf("dx_pad", (n * c, 1, hp, wp), grad_out.dtype)
         dxv = col2im(dcols, (n * c, 1, h, w), k, k, s, p, out=pad_buf)
         self._drop(dcols)
         self._x_shape = None
         if p > 0:
-            dx = out if out is not None else self._buf("dx", (n, c, h, w), np.float64)
+            dx = out if out is not None else self._buf("dx", (n, c, h, w), grad_out.dtype)
             np.copyto(dx.reshape(n * c, 1, h, w), dxv)
             return dx
         if out is not None:

@@ -64,12 +64,12 @@ class Residual(Module):
             pre = main + short
             self._relu_mask = pre > 0
             return np.where(self._relu_mask, pre, 0.0)
-        pre = self._buf("pre", main.shape, np.float64)
+        pre = self._buf("pre", main.shape, main.dtype)
         np.add(main, short, out=pre)
         mask = self._buf("mask", main.shape, np.bool_)
         np.greater(pre, 0, out=mask)
         self._relu_mask = mask
-        y = out if out is not None else self._buf("y", main.shape, np.float64)
+        y = out if out is not None else self._buf("y", main.shape, main.dtype)
         np.maximum(pre, 0.0, out=y)
         return y
 
@@ -86,7 +86,7 @@ class Residual(Module):
                 dx = dx + self.shortcut.backward(dpre)
             return dx
         mask = self._relu_mask
-        dpre = self._buf("dpre", grad_out.shape, np.float64)
+        dpre = self._buf("dpre", grad_out.shape, grad_out.dtype)
         # mask-multiply + ``+= 0.0`` == np.where(mask, grad, 0.0) bitwise for
         # finite gradients (the add rewrites -0.0 to the +0.0 where produces)
         np.multiply(grad_out, mask, out=dpre)

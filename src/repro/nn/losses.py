@@ -59,7 +59,7 @@ class SoftmaxCrossEntropy:
             # empty shard on a rank that must still participate in the
             # collective forward/backward (SyncBatchNorm): zero loss,
             # zero gradient
-            self._cache = (np.zeros((0, k)), targets)
+            self._cache = (np.zeros((0, k), dtype=logits.dtype), targets)
             return 0.0
         if targets.min() < 0 or targets.max() >= k:
             raise ValueError("target class out of range")
@@ -68,9 +68,9 @@ class SoftmaxCrossEntropy:
             logp = log_softmax(logits)
         else:
             # log_softmax with the identical op sequence, into reusable buffers
-            logp = mem.slot(self, "logp", (n, k), np.float64)
+            logp = mem.slot(self, "logp", (n, k), logits.dtype)
             np.subtract(logits, logits.max(axis=1, keepdims=True), out=logp)
-            t = mem.scratch((n, k), np.float64)
+            t = mem.scratch((n, k), logits.dtype)
             np.exp(logp, out=t)
             s = t.sum(axis=1, keepdims=True)
             np.log(s, out=s)
@@ -94,22 +94,22 @@ class SoftmaxCrossEntropy:
         n, k = logp.shape
         if n == 0:
             self._cache = None
-            return np.zeros((0, k))
+            return np.zeros((0, k), dtype=logp.dtype)
         eps = self.label_smoothing
         mem = self._memory
         if mem is None:
             probs = np.exp(logp)
-            target_dist = np.full((n, k), eps / k)
+            target_dist = np.full((n, k), eps / k, dtype=logp.dtype)
             target_dist[np.arange(n), targets] += 1.0 - eps
             grad = (probs - target_dist) / n
             self._cache = None
             return grad
-        probs = mem.scratch((n, k), np.float64)
+        probs = mem.scratch((n, k), logp.dtype)
         np.exp(logp, out=probs)
-        target_dist = mem.scratch((n, k), np.float64)
+        target_dist = mem.scratch((n, k), logp.dtype)
         target_dist[...] = eps / k
         target_dist[np.arange(n), targets] += 1.0 - eps
-        grad = mem.slot(self, "dlogits", (n, k), np.float64)
+        grad = mem.slot(self, "dlogits", (n, k), logp.dtype)
         np.subtract(probs, target_dist, out=grad)
         grad /= n
         mem.release(target_dist)

@@ -125,7 +125,7 @@ class Arena:
         _gauge("nn.peak_arena_bytes").set(float(self.peak_bytes))
 
     # -- allocation interface --------------------------------------------------
-    def acquire(self, shape, dtype=np.float64):
+    def acquire(self, shape, dtype):
         """A writable, uninitialised array of ``shape``/``dtype``."""
         sig = self._sig.get((shape, dtype)) if type(shape) is tuple else None
         if sig is None:
@@ -253,7 +253,7 @@ class MemoryContext:
         self.arena = arena if arena is not None else Arena()
         self._slots: dict = {}
 
-    def slot(self, owner, tag: str, shape, dtype=np.float64):
+    def slot(self, owner, tag: str, shape, dtype):
         key = (id(owner), tag, tuple(shape), np.dtype(dtype))
         buf = self._slots.get(key)
         if buf is None:
@@ -261,7 +261,7 @@ class MemoryContext:
             self._slots[key] = buf
         return buf
 
-    def scratch(self, shape, dtype=np.float64):
+    def scratch(self, shape, dtype):
         return self.arena.acquire(shape, dtype)
 
     def release(self, buf) -> None:
@@ -286,7 +286,6 @@ class MemoryContext:
 # Static planning
 # ---------------------------------------------------------------------------
 
-_F64 = np.dtype(np.float64)
 _BOOL = np.dtype(np.bool_)
 _INTP = np.dtype(np.intp)
 
@@ -340,55 +339,55 @@ def _prod(shape) -> int:
 # peak, so a rule that forgets a request fails the predictor test.
 
 
-def _rule_relu(layer, shp, training):
-    fwd = [("slot", "mask", shp, _BOOL), ("slot", "y", shp, _F64)]
-    bwd = [("slot", "dx", shp, _F64)]
+def _rule_relu(layer, shp, training, dt):
+    fwd = [("slot", "mask", shp, _BOOL), ("slot", "y", shp, dt)]
+    bwd = [("slot", "dx", shp, dt)]
     return shp, fwd, bwd
 
 
-def _rule_sigmoid(layer, shp, training):
+def _rule_sigmoid(layer, shp, training, dt):
     fwd = [
         ("slot", "pos", shp, _BOOL),
         ("slot", "neg", shp, _BOOL),
-        ("scratch", "t", shp, _F64),
-        ("slot", "y", shp, _F64),
-        ("scratch", "u", shp, _F64),
+        ("scratch", "t", shp, dt),
+        ("slot", "y", shp, dt),
+        ("scratch", "u", shp, dt),
         ("free", "u"),
         ("free", "t"),
     ]
     bwd = [
-        ("slot", "dx", shp, _F64),
-        ("scratch", "t", shp, _F64),
+        ("slot", "dx", shp, dt),
+        ("scratch", "t", shp, dt),
         ("free", "t"),
     ]
     return shp, fwd, bwd
 
 
-def _rule_tanh(layer, shp, training):
-    fwd = [("slot", "y", shp, _F64)]
+def _rule_tanh(layer, shp, training, dt):
+    fwd = [("slot", "y", shp, dt)]
     bwd = [
-        ("scratch", "t", shp, _F64),
-        ("slot", "dx", shp, _F64),
+        ("scratch", "t", shp, dt),
+        ("slot", "dx", shp, dt),
         ("free", "t"),
     ]
     return shp, fwd, bwd
 
 
-def _rule_dense(layer, shp, training):
+def _rule_dense(layer, shp, training, dt):
     n = shp[0]
     out_shp = (n, layer.out_features)
-    fwd = [("slot", "y", out_shp, _F64)]
+    fwd = [("slot", "y", out_shp, dt)]
     bwd = [
-        ("scratch", "dw", (layer.in_features, layer.out_features), _F64),
+        ("scratch", "dw", (layer.in_features, layer.out_features), dt),
         ("free", "dw"),
     ]
     if layer.bias is not None:
-        bwd += [("scratch", "db", (layer.out_features,), _F64), ("free", "db")]
-    bwd.append(("slot", "dx", shp, _F64))
+        bwd += [("scratch", "db", (layer.out_features,), dt), ("free", "db")]
+    bwd.append(("slot", "dx", shp, dt))
     return out_shp, fwd, bwd
 
 
-def _rule_conv(layer, shp, training):
+def _rule_conv(layer, shp, training, dt):
     from .layers.conv import conv_output_hw
 
     n, c, h, w = shp
@@ -402,36 +401,36 @@ def _rule_conv(layer, shp, training):
     fwd = []
     if pointwise:
         if s != 1:
-            fwd.append(("slot", "xs", (n, c, oh, ow), _F64))
+            fwd.append(("slot", "xs", (n, c, oh, ow), dt))
     else:
-        fwd.append(("slot", "cols", (n, c * k * k, span), _F64))
+        fwd.append(("slot", "cols", (n, c * k * k, span), dt))
         if p > 0:
-            fwd.append(("slot", "xpad", (n, c, h + 2 * p, w + 2 * p), _F64))
-    fwd.append(("slot", "y", (n, layer.out_channels, oh, ow), _F64))
+            fwd.append(("slot", "xpad", (n, c, h + 2 * p, w + 2 * p), dt))
+    fwd.append(("slot", "y", (n, layer.out_channels, oh, ow), dt))
     out_shp = (n, layer.out_channels, oh, ow)
 
     bwd = [
-        ("scratch", "dw", (g, og, ckk), _F64),
-        ("scratch", "dw_n", (n, g, og, ckk), _F64),
-        ("slot", "dcols", (n, g, ckk, span), _F64),
+        ("scratch", "dw", (g, og, ckk), dt),
+        ("scratch", "dw_n", (n, g, og, ckk), dt),
+        ("slot", "dcols", (n, g, ckk, span), dt),
         ("free", "dw_n"),
         ("free", "dw"),
     ]
     if layer.bias is not None:
-        bwd += [("scratch", "db", (layer.out_channels,), _F64), ("free", "db")]
+        bwd += [("scratch", "db", (layer.out_channels,), dt), ("free", "db")]
     if pointwise:
         if s != 1:
-            bwd.append(("slot", "dx", shp, _F64))
+            bwd.append(("slot", "dx", shp, dt))
     elif p > 0 and s < k:
-        bwd.append(("slot", "dx", shp, _F64))
+        bwd.append(("slot", "dx", shp, dt))
     else:
-        bwd.append(("slot", "dx_pad", (n, c, h + 2 * p, w + 2 * p), _F64))
+        bwd.append(("slot", "dx_pad", (n, c, h + 2 * p, w + 2 * p), dt))
         if p > 0:
-            bwd.append(("slot", "dx", shp, _F64))
+            bwd.append(("slot", "dx", shp, dt))
     return out_shp, fwd, bwd
 
 
-def _rule_maxpool(layer, shp, training):
+def _rule_maxpool(layer, shp, training, dt):
     from .layers.conv import conv_output_hw
 
     n, c, h, w = shp
@@ -441,30 +440,30 @@ def _rule_maxpool(layer, shp, training):
     span = oh * ow
     fwd = []
     if p > 0:
-        fwd.append(("slot", "xpad", (n, c, hp, wp), _F64))
+        fwd.append(("slot", "xpad", (n, c, hp, wp), dt))
     fwd += [
-        ("slot", "cols", (n * c, k * k, span), _F64),
+        ("slot", "cols", (n * c, k * k, span), dt),
         ("slot", "argmax", (n, c, span), _INTP),
-        ("slot", "y", (n, c, oh, ow), _F64),
+        ("slot", "y", (n, c, oh, ow), dt),
     ]
     if p > 0 and s < k:
         bwd = [
-            ("scratch", "dcols", (n, c, k * k, span), _F64),
-            ("slot", "dx", shp, _F64),
+            ("scratch", "dcols", (n, c, k * k, span), dt),
+            ("slot", "dx", shp, dt),
             ("free", "dcols"),
         ]
     else:
         bwd = [
-            ("scratch", "dcols", (n, c, k * k, span), _F64),
-            ("slot", "dx_pad", (n * c, 1, hp, wp), _F64),
+            ("scratch", "dcols", (n, c, k * k, span), dt),
+            ("slot", "dx_pad", (n * c, 1, hp, wp), dt),
             ("free", "dcols"),
         ]
         if p > 0:
-            bwd.append(("slot", "dx", shp, _F64))
+            bwd.append(("slot", "dx", shp, dt))
     return (n, c, oh, ow), fwd, bwd
 
 
-def _rule_avgpool(layer, shp, training):
+def _rule_avgpool(layer, shp, training, dt):
     from .layers.conv import conv_output_hw
 
     n, c, h, w = shp
@@ -474,102 +473,102 @@ def _rule_avgpool(layer, shp, training):
     span = oh * ow
     fwd = []
     if p > 0:
-        fwd.append(("slot", "xpad", (n, c, hp, wp), _F64))
+        fwd.append(("slot", "xpad", (n, c, hp, wp), dt))
     fwd += [
-        ("slot", "cols", (n * c, k * k, span), _F64),
-        ("slot", "y", (n, c, oh, ow), _F64),
+        ("slot", "cols", (n * c, k * k, span), dt),
+        ("slot", "y", (n, c, oh, ow), dt),
     ]
     bwd = [
-        ("scratch", "go", (n * c, 1, span), _F64),
-        ("scratch", "dcols", (n * c, k * k, span), _F64),
+        ("scratch", "go", (n * c, 1, span), dt),
+        ("scratch", "dcols", (n * c, k * k, span), dt),
         ("free", "go"),
     ]
     if p > 0 and s < k:
-        bwd += [("slot", "dx", shp, _F64), ("free", "dcols")]
+        bwd += [("slot", "dx", shp, dt), ("free", "dcols")]
     else:
-        bwd.append(("slot", "dx_pad", (n * c, 1, hp, wp), _F64))
+        bwd.append(("slot", "dx_pad", (n * c, 1, hp, wp), dt))
         bwd.append(("free", "dcols"))
         if p > 0:
-            bwd.append(("slot", "dx", shp, _F64))
+            bwd.append(("slot", "dx", shp, dt))
     return (n, c, oh, ow), fwd, bwd
 
 
-def _rule_gap(layer, shp, training):
+def _rule_gap(layer, shp, training, dt):
     n, c = shp[0], shp[1]
-    fwd = [("slot", "y", (n, c), _F64)]
-    bwd = [("slot", "dx", shp, _F64)]
+    fwd = [("slot", "y", (n, c), dt)]
+    bwd = [("slot", "dx", shp, dt)]
     return (n, c), fwd, bwd
 
 
-def _rule_flatten(layer, shp, training):
+def _rule_flatten(layer, shp, training, dt):
     return (shp[0], _prod(shp[1:])), [], []
 
 
-def _rule_batchnorm(layer, shp, training):
-    fwd = [("slot", "xhat", shp, _F64), ("slot", "y", shp, _F64)]
+def _rule_batchnorm(layer, shp, training, dt):
+    fwd = [("slot", "xhat", shp, dt), ("slot", "y", shp, dt)]
     bwd = [
-        ("scratch", "t", shp, _F64),
-        ("scratch", "dxh", shp, _F64),
-        ("slot", "dx", shp, _F64),
+        ("scratch", "t", shp, dt),
+        ("scratch", "dxh", shp, dt),
+        ("slot", "dx", shp, dt),
         ("free", "dxh"),
         ("free", "t"),
     ]
     return shp, fwd, bwd
 
 
-def _rule_dropout(layer, shp, training):
+def _rule_dropout(layer, shp, training, dt):
     if not training or layer.p == 0.0:
         return shp, [], []
     fwd = [
-        ("slot", "mask", shp, _F64),
+        ("slot", "mask", shp, dt),
         ("slot", "sel", shp, _BOOL),
-        ("slot", "y", shp, _F64),
+        ("slot", "y", shp, dt),
     ]
-    bwd = [("slot", "dx", shp, _F64)]
+    bwd = [("slot", "dx", shp, dt)]
     return shp, fwd, bwd
 
 
-def _window_sum_events(shp, prefix):
+def _window_sum_events(shp, prefix, dt):
     n, c = shp[0], shp[1]
     csum_shp = (n, c + 1, *shp[2:])
     return [
-        ("scratch", f"{prefix}csum", csum_shp, _F64),
-        ("scratch", f"{prefix}th", shp, _F64),
-        ("scratch", f"{prefix}tl", shp, _F64),
+        ("scratch", f"{prefix}csum", csum_shp, dt),
+        ("scratch", f"{prefix}th", shp, dt),
+        ("scratch", f"{prefix}tl", shp, dt),
         ("free", f"{prefix}tl"),
         ("free", f"{prefix}th"),
         ("free", f"{prefix}csum"),
     ]
 
 
-def _rule_lrn(layer, shp, training):
+def _rule_lrn(layer, shp, training, dt):
     fwd = (
         [
-            ("scratch", "sq", shp, _F64),
-            ("scratch", "ssum", shp, _F64),
+            ("scratch", "sq", shp, dt),
+            ("scratch", "ssum", shp, dt),
         ]
-        + _window_sum_events(shp, "f")
+        + _window_sum_events(shp, "f", dt)
         + [
             ("free", "sq"),
-            ("slot", "denom", shp, _F64),
+            ("slot", "denom", shp, dt),
             ("free", "ssum"),
-            ("scratch", "t", shp, _F64),
-            ("slot", "y", shp, _F64),
+            ("scratch", "t", shp, dt),
+            ("slot", "y", shp, dt),
             ("free", "t"),
         ]
     )
     bwd = (
         [
-            ("scratch", "dpow", shp, _F64),
-            ("scratch", "t", shp, _F64),
-            ("scratch", "tsum", shp, _F64),
+            ("scratch", "dpow", shp, dt),
+            ("scratch", "t", shp, dt),
+            ("scratch", "tsum", shp, dt),
         ]
-        + _window_sum_events(shp, "b")
+        + _window_sum_events(shp, "b", dt)
         + [
             ("free", "t"),
-            ("slot", "dx", shp, _F64),
+            ("slot", "dx", shp, dt),
             ("free", "dpow"),
-            ("scratch", "t2", shp, _F64),
+            ("scratch", "t2", shp, dt),
             ("free", "tsum"),
             ("free", "t2"),
         ]
@@ -604,16 +603,16 @@ def _fusion_input_conv(mod, shp):
     return None
 
 
-def _loss_events(n, k):
+def _loss_events(n, k, dt):
     fwd = [
-        ("slot", "logp", (n, k), _F64),
-        ("scratch", "t", (n, k), _F64),
+        ("slot", "logp", (n, k), dt),
+        ("scratch", "t", (n, k), dt),
         ("free", "t"),
     ]
     bwd = [
-        ("scratch", "probs", (n, k), _F64),
-        ("scratch", "td", (n, k), _F64),
-        ("slot", "dlogits", (n, k), _F64),
+        ("scratch", "probs", (n, k), dt),
+        ("scratch", "td", (n, k), dt),
+        ("slot", "dlogits", (n, k), dt),
         ("free", "td"),
         ("free", "probs"),
     ]
@@ -671,13 +670,18 @@ class MemoryPlan:
         """Shape-infer ``model`` (and optionally its loss) into a plan.
 
         ``input_shape`` is per-example (channels-first, no batch dim), the
-        same convention as ``Module.output_shape``.
+        same convention as ``Module.output_shape``.  Buffers are planned in
+        the dtype of the model's parameters — the dtype the live layers
+        compute in once the trainer casts each batch to it; a model without
+        parameters plans in float32, the precision models are built in.
         """
         from .layers.base import Sequential
         from .layers.branch import ConcatBranches
         from .layers.residual import Residual
 
         rules = _layer_rules()
+        params = model.parameters()
+        dt = params[0].data.dtype if params else np.dtype(np.float32)
         shp = (int(batch_size), *tuple(input_shape))
         fwd_stream: list = []  # (owner, event)
         anon = [0]
@@ -719,7 +723,7 @@ class MemoryPlan:
                             fwd_stream.append(
                                 (
                                     owner_name(conv),
-                                    ("slot", "xpad", (n, c, h + 2 * p, w + 2 * p), _F64),
+                                    ("slot", "xpad", (n, c, h + 2 * p, w + 2 * p), dt),
                                 )
                             )
                             child_fused = True
@@ -732,12 +736,12 @@ class MemoryPlan:
                 b_short = []
                 if mod.shortcut is not None:
                     _, b_short = walk(mod.shortcut, shp)
-                tags = [("pre", _F64), ("mask", _BOOL)]
+                tags = [("pre", dt), ("mask", _BOOL)]
                 if not fused:
-                    tags.append(("y", _F64))
-                for tag, dt in tags:
-                    fwd_stream.append((name, ("slot", tag, out_shp, dt)))
-                bwd = [(name, ("slot", "dpre", out_shp, _F64))]
+                    tags.append(("y", dt))
+                for tag, tag_dt in tags:
+                    fwd_stream.append((name, ("slot", tag, out_shp, tag_dt)))
+                bwd = [(name, ("slot", "dpre", out_shp, dt))]
                 bwd += b_branch + b_short
                 # the input gradient is summed in place into the branch's
                 # own gradient buffer — no extra slot
@@ -752,13 +756,13 @@ class MemoryPlan:
                 n = shp[0]
                 channels = sum(o[1] for o in outs)
                 out_shp = (n, channels, *outs[0][2:])
-                fwd_stream.append((name, ("slot", "y", out_shp, _F64)))
+                fwd_stream.append((name, ("slot", "y", out_shp, dt)))
                 bwd = []
                 for i, (o, b) in enumerate(zip(outs, branch_bwds)):
-                    bwd.append((name, ("slot", f"g{i}", o, _F64)))
+                    bwd.append((name, ("slot", f"g{i}", o, dt)))
                     bwd += b
                     if i == 0:
-                        bwd.append((name, ("slot", "dx", shp, _F64)))
+                        bwd.append((name, ("slot", "dx", shp, dt)))
                 return out_shp, bwd
             rule = rules.get(type(mod))
             if rule is None:
@@ -767,7 +771,7 @@ class MemoryPlan:
                     "add one to repro.nn.memory to plan this model"
                 )
             name = owner_name(mod)
-            out_shp, fwd, bwd = rule(mod, shp, training)
+            out_shp, fwd, bwd = rule(mod, shp, training, dt)
             if fused:
                 fwd = [e for e in fwd if e[:2] != ("slot", "y")]
             fwd_stream.extend((name, e) for e in fwd)
@@ -779,7 +783,7 @@ class MemoryPlan:
                 raise ValueError(
                     f"loss expects (batch, classes) logits, model produces {out_shp}"
                 )
-            lf, lb = _loss_events(out_shp[0], out_shp[1])
+            lf, lb = _loss_events(out_shp[0], out_shp[1], dt)
             fwd_stream.extend(("loss", e) for e in lf)
             bwd_stream = [("loss", e) for e in lb] + bwd_stream
 

@@ -38,7 +38,7 @@ class Workspace:
     def __init__(self) -> None:
         self._buffers: dict[tuple, np.ndarray] = {}
 
-    def get(self, tag: str, shape: tuple[int, ...], dtype=np.float64) -> np.ndarray:
+    def get(self, tag: str, shape: tuple[int, ...], dtype) -> np.ndarray:
         """Return a reusable uninitialised array of ``shape``/``dtype``."""
         key = (tag, shape, np.dtype(dtype))
         buf = self._buffers.get(key)
@@ -57,10 +57,12 @@ class Parameter:
     Parameters
     ----------
     data:
-        Initial value.  Stored as ``float64`` by default; the simulated
-        cluster relies on deterministic, well-conditioned arithmetic and the
-        paper's single-precision claims are modelled in ``repro.perfmodel``
-        rather than by degrading numerics here.
+        Initial value.  Floating data keeps its own dtype — the initializers
+        hand out float32, the precision of every run in the paper, and
+        layers compute in the dtype of their input and parameters.  Other
+        data (integers, Python lists) is converted to float64.  The one way
+        to change a model's precision is ``Module.astype``, which
+        reference tests use to run at float64.
     name:
         Dotted path assigned by the owning module tree (e.g.
         ``"features.0.weight"``).  Used by optimisers for per-layer rules
@@ -77,7 +79,10 @@ class Parameter:
     __slots__ = ("data", "grad", "name", "weight_decay")
 
     def __init__(self, data: np.ndarray, name: str = "", weight_decay: float = 1.0):
-        self.data = np.asarray(data, dtype=np.float64)
+        data = np.asarray(data)
+        if data.dtype.kind != "f":
+            data = data.astype(np.float64)
+        self.data = data
         self.grad = np.zeros_like(self.data)
         self.name = name
         self.weight_decay = float(weight_decay)

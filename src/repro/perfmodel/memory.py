@@ -9,6 +9,11 @@ both sides share the bucket math by construction, the prediction is pinned
 to the measured peak (``tests/perfmodel/test_memory_predictor.py`` holds it
 to <5%; in practice the match is exact).
 
+Bytes are counted in the dtype of the model's parameters — float32, the
+4 bytes per activation ``repro.perfmodel.throughput`` prices, unless the
+model was widened with ``Module.astype`` — since the planner sizes every
+buffer by it.
+
 The model answers the capacity-planning questions behind Figure 3's OOM
 wall: how activation bytes scale with batch size, and the largest batch a
 device's memory admits for a given model.

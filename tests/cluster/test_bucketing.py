@@ -73,8 +73,9 @@ class TestBucketBuffers:
         params = mlp(8, [16], 3, seed=0).parameters()
         rng = np.random.default_rng(0)
         for p in params:
-            p.grad = rng.normal(size=p.data.shape)
+            p.grad = rng.normal(size=p.data.shape).astype(p.data.dtype)
         bucket = Bucket(0, params)
+        assert bucket.buffer.dtype == np.float32
         flat = bucket.pack(weight=0.5)
         expected = np.concatenate([p.grad.reshape(-1) for p in params]) * 0.5
         np.testing.assert_array_equal(flat, expected)
@@ -156,7 +157,7 @@ class TestGradReadyHooks:
         plan = BucketPlan.from_model(model)
 
         def worker(comm):
-            BucketedExchange(comm, plan, overlap=True, compressor=object())
+            BucketedExchange(comm, plan, overlap=True, compressor_factory=object)
 
         with pytest.raises(ValueError):
             run_cluster(1, worker)

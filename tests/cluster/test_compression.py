@@ -214,3 +214,62 @@ class TestCompressedSyncSGD:
         with pytest.raises(ValueError):
             SyncSGDConfig(world=2, epochs=1, batch_size=8, mode="master",
                           compressor_factory=OneBitCompressor)
+
+
+class TestBucketedCompression:
+    """A compressed exchange split into several buckets keeps one compressor
+    per bucket, so an error-feedback residual only ever meets the gradients
+    of the bucket it was sized by."""
+
+    FACTORIES = [
+        pytest.param(OneBitCompressor, id="onebit"),
+        pytest.param(lambda: TopKCompressor(k=64), id="topk"),
+    ]
+
+    @staticmethod
+    def builder():
+        from repro.nn.models import micro_alexnet
+
+        return micro_alexnet(num_classes=4, image_size=16, width=4, hidden=16,
+                             norm="bn", seed=1)
+
+    @pytest.mark.parametrize("factory", FACTORIES)
+    def test_sync_sgd_over_several_buckets(self, factory):
+        from repro.cluster import BucketPlan, SyncSGDConfig, train_sync_sgd
+        from repro.core import SGD, ConstantLR
+        from repro.data import make_dataset
+
+        assert len(BucketPlan.from_model(self.builder(), bucket_bytes=4096)) > 1
+        ds = make_dataset(num_classes=4, image_size=16, train_size=64,
+                          test_size=16, seed=5)
+        config = SyncSGDConfig(world=2, epochs=2, batch_size=16, algorithm="ring",
+                               bucket_bytes=4096, overlap=False,
+                               compressor_factory=factory, shuffle_seed=5)
+        res = train_sync_sgd(self.builder,
+                             lambda p: SGD(p, momentum=0.9, weight_decay=0.0),
+                             ConstantLR(0.05), ds.x_train, ds.y_train,
+                             ds.x_test, ds.y_test, config)
+        for v in res.final_state.values():
+            assert v.dtype == np.float32 and np.isfinite(v).all()
+
+    @pytest.mark.parametrize("factory", FACTORIES)
+    def test_residuals_are_per_bucket_in_gradient_dtype(self, factory):
+        from repro.cluster import BucketedExchange, BucketPlan
+
+        def worker(comm):
+            model = self.builder()
+            rng = np.random.default_rng(comm.rank)
+            for p in model.parameters():
+                p.grad[...] = rng.normal(size=p.grad.shape)
+            plan = BucketPlan.from_model(model, bucket_bytes=4096)
+            exchange = BucketedExchange(comm, plan, algorithm="ring",
+                                        overlap=False, compressor_factory=factory)
+            for _ in range(2):
+                exchange.sync_blocking(0.5)
+            return [(c.residual.shape, c.residual.dtype, b.size)
+                    for c, b in zip(exchange.compressors, plan.buckets)]
+
+        results, _ = run_cluster(2, worker)
+        assert len(results[0]) > 1
+        for shape, dtype, size in results[0]:
+            assert shape == (size,) and dtype == np.float32

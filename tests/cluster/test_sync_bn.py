@@ -4,6 +4,8 @@ Plain per-shard BatchNorm is the one documented exception to the
 P-workers == serial-large-batch equivalence (see ``test_sync_sgd``).
 SyncBatchNorm closes it: with cross-rank statistics, a BN model trained on
 P simulated ranks matches the serial full-batch run to fp tolerance.
+The < 1e-9 bounds are float64 bounds, so the models are widened with
+``Module.astype``.
 """
 
 import numpy as np
@@ -24,11 +26,11 @@ SEED = 23
 
 
 def sync_builder():
-    return mlp(8, [10], 3, batch_norm="sync", seed=SEED)
+    return mlp(8, [10], 3, batch_norm="sync", seed=SEED).astype(np.float64)
 
 
 def local_builder():
-    return mlp(8, [10], 3, batch_norm=True, seed=SEED)
+    return mlp(8, [10], 3, batch_norm=True, seed=SEED).astype(np.float64)
 
 
 def sgd_builder(params):

@@ -23,8 +23,9 @@ def builder():
     return mlp(6, [8], 3, seed=3)
 
 
-def n_params():
-    return builder().num_parameters()
+def grad_bytes():
+    """Gradient bytes one allreduce carries: float32 on the simulated wire."""
+    return sum(p.data.nbytes for p in builder().parameters())
 
 
 def run(algorithm, profile, t_comp_per_example=0.0):
@@ -45,8 +46,7 @@ def test_fabric_time_matches_analytic_allreduce_cost(algorithm):
     profile = NetworkProfile(alpha=1e-4, beta=1e-9, name="test")
     res = run(algorithm, profile)
     iters = EPOCHS * (N // BATCH)
-    grad_bytes = n_params() * 8  # float64 on the simulated wire
-    expected = iters * allreduce_cost(WORLD, grad_bytes, profile, algorithm)
+    expected = iters * allreduce_cost(WORLD, grad_bytes(), profile, algorithm)
     expected += EPOCHS * allreduce_cost(WORLD, 3 * 8, profile, "tree")
     assert res.simulated_seconds == pytest.approx(expected, rel=0.02)
 
@@ -64,9 +64,8 @@ def test_comm_bytes_match_analytic_volume():
     """Fabric byte counter == per-algorithm analytic bytes (ring)."""
     res = run("ring", NetworkProfile.ideal())
     iters = EPOCHS * (N // BATCH)
-    grad_bytes = n_params() * 8
     # ring: each rank sends 2(P-1) chunks of ~n/P per allreduce
-    per_iter = WORLD * 2 * (WORLD - 1) * (grad_bytes / WORLD)
+    per_iter = WORLD * 2 * (WORLD - 1) * (grad_bytes() / WORLD)
     expected = iters * per_iter
     # metric allreduce adds a small constant per epoch
     assert res.comm_bytes == pytest.approx(expected, rel=0.05)

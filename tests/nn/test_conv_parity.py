@@ -163,6 +163,8 @@ def test_conv2d_fast_paths_bitwise_identical(
 ):
     n, size = BATCH_IMAGE.get((in_c, out_c, kernel, stride, pad, groups), (2, 8))
     fast, slow = _pair(in_c, out_c, kernel, stride, pad, groups)
+    fast.astype(dtype)
+    slow.astype(dtype)
     rng = np.random.default_rng(11)
     x = rng.normal(size=(n, in_c, size, size)).astype(dtype)
 
@@ -290,6 +292,7 @@ def _hot_inputs(layer):
 def test_conv2d_backward_matches_fp64_reference_at_hot_shape():
     # fast/general are bitwise equal (above), so checking one suffices
     layer, _ = _pair(*HOT_CASE)
+    layer.astype(np.float64)
     x, grad = _hot_inputs(layer)
     layer.forward(x)
     dx = layer.backward(grad)

@@ -42,10 +42,10 @@ def test_acquire_shape_dtype_and_accounting():
 
 def test_release_and_reacquire_reuses_buffer():
     arena = Arena()
-    a = arena.acquire((16, 16))
+    a = arena.acquire((16, 16), np.float64)
     arena.release(a)
     assert arena.in_use_bytes == 0
-    b = arena.acquire((16, 16))
+    b = arena.acquire((16, 16), np.float64)
     # same bucket, same view object: no fresh allocation, coloring preserved
     assert b is a
     s = arena.stats()
@@ -58,9 +58,9 @@ def test_one_bucket_serves_many_shapes():
     # (8, 8) f64 and (64,) f64 round to the same bucket; after a release the
     # second shape must come from the freelist, not a fresh allocation.
     arena = Arena()
-    a = arena.acquire((8, 8))
+    a = arena.acquire((8, 8), np.float64)
     arena.release(a)
-    b = arena.acquire((64,))
+    b = arena.acquire((64,), np.float64)
     assert b.shape == (64,)
     assert arena.allocations == 1
     assert arena.bytes_allocated == bucket_nbytes(64 * 8)
@@ -69,15 +69,25 @@ def test_one_bucket_serves_many_shapes():
 def test_peak_tracks_high_water_not_current():
     arena = Arena()
     bucket = bucket_nbytes(32 * 8)
-    a = arena.acquire((32,))
-    b = arena.acquire((32,))
+    a = arena.acquire((32,), np.float64)
+    b = arena.acquire((32,), np.float64)
     assert arena.peak_bytes == 2 * bucket
     arena.release(a)
     arena.release(b)
     assert arena.in_use_bytes == 0
     assert arena.peak_bytes == 2 * bucket  # high-water mark stays
-    arena.acquire((32,))
+    arena.acquire((32,), np.float64)
     assert arena.peak_bytes == 2 * bucket  # reuse does not move it
+
+
+def test_dtype_is_required():
+    # no buffer may silently fall back to a default dtype
+    with pytest.raises(TypeError):
+        Arena().acquire((4,))
+    with pytest.raises(TypeError):
+        MemoryContext().slot(object(), "y", (4,))
+    with pytest.raises(TypeError):
+        MemoryContext().scratch((4,))
 
 
 def test_distinct_dtypes_use_distinct_freelists():
@@ -91,7 +101,7 @@ def test_distinct_dtypes_use_distinct_freelists():
 
 def test_double_release_raises():
     arena = Arena()
-    a = arena.acquire((4, 4))
+    a = arena.acquire((4, 4), np.float64)
     arena.release(a)
     with pytest.raises(ValueError, match="double release"):
         arena.release(a)
@@ -99,7 +109,7 @@ def test_double_release_raises():
 
 def test_release_of_foreign_array_raises():
     arena = Arena()
-    arena.acquire((4, 4))
+    arena.acquire((4, 4), np.float64)
     with pytest.raises(ValueError, match="not acquired"):
         arena.release(np.zeros((4, 4)))
 
@@ -108,7 +118,7 @@ def test_release_accepts_reshaped_handle():
     # Callers may hand back a reshape of the acquired view; release resolves
     # it through the base chain to the owning flat buffer.
     arena = Arena()
-    a = arena.acquire((4, 8))
+    a = arena.acquire((4, 8), np.float64)
     arena.release(a.reshape(8, 4))
     assert arena.in_use_bytes == 0
     assert arena.releases == 1
@@ -116,7 +126,7 @@ def test_release_accepts_reshaped_handle():
 
 def test_zero_size_acquire_bypasses_arena():
     arena = Arena()
-    a = arena.acquire((0, 7))
+    a = arena.acquire((0, 7), np.float64)
     assert a.shape == (0, 7)
     assert arena.stats()["acquires"] == 0 or arena.stats()["allocations"] == 0
 
@@ -124,30 +134,30 @@ def test_zero_size_acquire_bypasses_arena():
 def test_memory_context_slots_are_persistent():
     ctx = MemoryContext()
     owner = object()
-    a = ctx.slot(owner, "y", (8, 8))
-    b = ctx.slot(owner, "y", (8, 8))
+    a = ctx.slot(owner, "y", (8, 8), np.float64)
+    b = ctx.slot(owner, "y", (8, 8), np.float64)
     assert b is a  # same (owner, tag, shape, dtype) -> same buffer
-    c = ctx.slot(owner, "dx", (8, 8))
+    c = ctx.slot(owner, "dx", (8, 8), np.float64)
     assert c is not a  # distinct tag -> distinct slot
     assert ctx.arena.acquires == 2
 
 
 def test_memory_context_close_releases_but_keeps_pool_warm():
     ctx = MemoryContext()
-    ctx.slot(object(), "y", (16, 16))
+    ctx.slot(object(), "y", (16, 16), np.float64)
     pool = ctx.arena.pool_bytes
     assert ctx.arena.in_use_bytes == pool
     ctx.close()
     assert ctx.arena.in_use_bytes == 0
     assert ctx.arena.pool_bytes == pool  # buffers return to the freelist
     # a fresh slot after close must be served from the warm pool
-    ctx.slot(object(), "y", (16, 16))
+    ctx.slot(object(), "y", (16, 16), np.float64)
     assert ctx.arena.allocations == 1
 
 
 def test_memory_context_scratch_release_roundtrip():
     ctx = MemoryContext()
-    buf = ctx.scratch((32,))
+    buf = ctx.scratch((32,), np.float64)
     assert ctx.arena.in_use_bytes == bucket_nbytes(32 * 8)
     ctx.release(buf)
     assert ctx.arena.in_use_bytes == 0

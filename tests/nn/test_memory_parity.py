@@ -13,6 +13,10 @@ Two more invariants ride along:
 * **exact peak prediction** — :func:`plan_training_step` replays the same
   request stream through a dry-run arena, so its ``peak_bytes`` equals the
   live arena's high-water mark to the byte.
+
+Models train in float32, the dtype they are built in; the ``_fp64``
+variants widen them with ``Module.astype`` and feed float64 data, so both
+precisions keep parity and exact prediction.
 """
 
 import numpy as np
@@ -43,17 +47,18 @@ CONFIGS = [
 ]
 
 
-def _data(name, kwargs, in_shape, batch):
+def _data(name, kwargs, in_shape, batch, dtype=np.float32):
     rng = np.random.default_rng(42)
-    xs = [rng.standard_normal((batch, *in_shape)) for _ in range(STEPS)]
+    xs = [rng.standard_normal((batch, *in_shape)).astype(dtype) for _ in range(STEPS)]
     ncls = kwargs.get("num_classes", 10)
     ys = [rng.integers(0, ncls, size=batch) for _ in range(STEPS)]
     return xs, ys
 
 
 def _run(name, kwargs, xs, ys, planned):
-    """Train STEPS plain-SGD steps; record everything observable each step."""
-    model = build_model(name, **kwargs)
+    """Train STEPS plain-SGD steps in the data's dtype; record everything
+    observable each step."""
+    model = build_model(name, **kwargs).astype(xs[0].dtype)
     loss = SoftmaxCrossEntropy(label_smoothing=0.1)
     mem = None
     if planned:
@@ -76,9 +81,8 @@ def _run(name, kwargs, xs, ys, planned):
     return records, allocs, mem
 
 
-@pytest.mark.parametrize("name,kwargs,in_shape,batch", CONFIGS)
-def test_planned_is_bitwise_identical_to_eager(name, kwargs, in_shape, batch):
-    xs, ys = _data(name, kwargs, in_shape, batch)
+def _assert_planned_matches_eager(name, kwargs, in_shape, batch, dtype):
+    xs, ys = _data(name, kwargs, in_shape, batch, dtype)
     eager, _, _ = _run(name, kwargs, xs, ys, planned=False)
     planned, _, _ = _run(name, kwargs, xs, ys, planned=True)
     for t in range(STEPS):
@@ -92,6 +96,17 @@ def test_planned_is_bitwise_identical_to_eager(name, kwargs, in_shape, batch):
         for k in weights_e:
             np.testing.assert_array_equal(
                 weights_e[k], weights_p[k], err_msg=f"step {t}: weight {k}")
+        assert logits_p.dtype == dtype
+
+
+@pytest.mark.parametrize("name,kwargs,in_shape,batch", CONFIGS)
+def test_planned_is_bitwise_identical_to_eager(name, kwargs, in_shape, batch):
+    _assert_planned_matches_eager(name, kwargs, in_shape, batch, np.float32)
+
+
+@pytest.mark.parametrize("name,kwargs,in_shape,batch", CONFIGS)
+def test_planned_is_bitwise_identical_to_eager_fp64(name, kwargs, in_shape, batch):
+    _assert_planned_matches_eager(name, kwargs, in_shape, batch, np.float64)
 
 
 @pytest.mark.parametrize("name,kwargs,in_shape,batch", CONFIGS)
@@ -103,14 +118,25 @@ def test_steady_state_performs_zero_allocations(name, kwargs, in_shape, batch):
         f"steady-state steps allocated: {allocs}")
 
 
-@pytest.mark.parametrize("name,kwargs,in_shape,batch", CONFIGS)
-def test_plan_peak_matches_live_arena_exactly(name, kwargs, in_shape, batch):
-    xs, ys = _data(name, kwargs, in_shape, batch)
+def _assert_plan_matches_live(name, kwargs, in_shape, batch, dtype):
+    xs, ys = _data(name, kwargs, in_shape, batch, dtype)
     _, _, mem = _run(name, kwargs, xs, ys, planned=True)
-    plan = plan_training_step(build_model(name, **kwargs), in_shape, batch,
-                              loss=SoftmaxCrossEntropy(label_smoothing=0.1))
+    plan = plan_training_step(build_model(name, **kwargs).astype(dtype), in_shape,
+                              batch, loss=SoftmaxCrossEntropy(label_smoothing=0.1))
     assert plan.peak_bytes == mem.arena.peak_bytes
     assert plan.pool_bytes == mem.arena.pool_bytes
+    return plan
+
+
+@pytest.mark.parametrize("name,kwargs,in_shape,batch", CONFIGS)
+def test_plan_peak_matches_live_arena_exactly(name, kwargs, in_shape, batch):
+    _assert_plan_matches_live(name, kwargs, in_shape, batch, np.float32)
+
+
+@pytest.mark.parametrize("name,kwargs,in_shape,batch", CONFIGS)
+def test_plan_peak_matches_live_arena_exactly_fp64(name, kwargs, in_shape, batch):
+    plan = _assert_plan_matches_live(name, kwargs, in_shape, batch, np.float64)
+    assert all(b.dtype in ("float64", "bool", "int64") for b in plan.buffers)
 
 
 def test_close_then_rebind_is_still_bitwise_stable():

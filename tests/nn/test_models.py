@@ -87,8 +87,12 @@ class TestProxyModels:
         check_model_loss_gradients(m, x, y, tol=5e-4, max_entries=10)
 
     def test_micro_alexnet_gradcheck_lrn(self):
+        # seed 7: at seed 6 one sampled weight has a true gradient of 3e-10,
+        # below the central difference's ~1e-11 round-off resolution, and
+        # the check's relative error there (3.5e-4 with float64 initial
+        # weights, 7.6e-4 with float32-rounded ones) is noise either way
         m = micro_alexnet(num_classes=3, image_size=8, width=2, hidden=8,
-                          norm="lrn", seed=6)
+                          norm="lrn", seed=7)
         x = np.random.default_rng(5).normal(size=(3, 3, 8, 8))
         y = np.array([0, 1, 2])
         check_model_loss_gradients(m, x, y, tol=5e-4, max_entries=10)

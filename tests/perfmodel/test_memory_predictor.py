@@ -3,7 +3,8 @@
 ``predict_activation_bytes`` replays the planned request stream through a
 dry-run arena sharing the live arena's bucket arithmetic, so its numbers
 must match a real planned training step — the acceptance bound is 5%, but
-by construction the match is exact and that is what we assert.
+by construction the match is exact and that is what we assert — at float32,
+the dtype models are built in, and at float64 via ``Module.astype``.
 """
 
 import numpy as np
@@ -19,13 +20,15 @@ BATCHES = [8, 32, 128, 256]
 
 
 def _measure_peak(model, in_shape, batch, steps=2):
-    """Run planned training steps; return the live arena's high-water mark."""
+    """Run planned training steps in the model's dtype; return the live
+    arena's high-water mark."""
     loss = SoftmaxCrossEntropy(label_smoothing=0.1)
     mem = MemoryContext()
     model.bind_memory(mem)
     loss.bind_memory(mem)
     rng = np.random.default_rng(0)
-    x = rng.standard_normal((batch, *in_shape))
+    dtype = model.parameters()[0].data.dtype
+    x = rng.standard_normal((batch, *in_shape)).astype(dtype)
     y = rng.integers(0, 10, size=batch)
     for _ in range(steps):
         model.zero_grad()
@@ -34,17 +37,32 @@ def _measure_peak(model, in_shape, batch, steps=2):
     return mem.arena.peak_bytes
 
 
-@pytest.mark.parametrize("batch", BATCHES)
-def test_prediction_matches_measured_peak(batch):
+def _predicted_and_measured(batch, dtype):
     in_shape = (3, 16, 16)
     est = predict_activation_bytes(
-        build_model("micro_resnet", width=8), in_shape, batch,
+        build_model("micro_resnet", width=8).astype(dtype), in_shape, batch,
         loss=SoftmaxCrossEntropy(label_smoothing=0.1))
-    measured = _measure_peak(build_model("micro_resnet", width=8),
+    measured = _measure_peak(build_model("micro_resnet", width=8).astype(dtype),
                              in_shape, batch)
     # acceptance bound is 5%; the shared bucket math makes it exact
     assert abs(est.peak_bytes - measured) <= 0.05 * measured
     assert est.peak_bytes == measured
+    return est.peak_bytes
+
+
+@pytest.mark.parametrize("batch", BATCHES)
+def test_prediction_matches_measured_peak(batch):
+    _predicted_and_measured(batch, np.float32)
+
+
+@pytest.mark.parametrize("batch", BATCHES)
+def test_prediction_matches_measured_peak_fp64(batch):
+    peak64 = _predicted_and_measured(batch, np.float64)
+    # every activation buffer doubles; only the boolean masks do not
+    peak32 = predict_activation_bytes(
+        build_model("micro_resnet", width=8), (3, 16, 16), batch,
+        loss=SoftmaxCrossEntropy(label_smoothing=0.1)).peak_bytes
+    assert peak32 < peak64 < 2 * peak32
 
 
 def test_prediction_matches_for_mlp():

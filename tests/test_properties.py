@@ -29,8 +29,8 @@ class TestSequentialConsistencyProperty:
     @settings(max_examples=10, deadline=None,
               suppress_health_check=[HealthCheck.too_slow])
     def test_cluster_equals_serial(self, world, batch, momentum):
-        def builder():
-            return mlp(5, [6], 3, seed=17)
+        def builder():  # float64: the 1e-9 bound is a double-precision bound
+            return mlp(5, [6], 3, seed=17).astype(np.float64)
 
         def opt_builder(params):
             return SGD(params, momentum=momentum, weight_decay=0.0005)
