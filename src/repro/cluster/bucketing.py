@@ -14,10 +14,9 @@ Two pieces:
   reverse ``parameters()`` order (the order backward finalises gradients),
   into ~``bucket_bytes`` buckets, each with a persistent flat buffer in
   the parameters' dtype, reused every step (no per-iteration |W|
-  allocation).  Within a
-  bucket the buffer is laid out in ``parameters()`` order, so a plan of
-  one bucket packs exactly :func:`repro.cluster.packing.flatten_grads`'
-  vector.
+  allocation).  Within a bucket the buffer is laid out in ``parameters()``
+  order, so a plan of one bucket packs exactly
+  :func:`repro.cluster.packing.flatten_grads`' vector.
 * :class:`BucketedExchange` — the per-rank driver.  In overlap mode it
   installs gradient-ready hooks on the leaf modules
   (:meth:`repro.nn.layers.base.Module.register_grad_ready_hook`); as soon
@@ -30,9 +29,10 @@ Two pieces:
   runs as sequential per-bucket blocking allreduces — bucketed wire
   traffic without the overlap — or, with a compressor factory, as
   per-bucket compressed exchanges, each bucket keeping its own compressor
-  (error-feedback residuals are per bucket, sized and typed like it).  This is the only gradient-exchange path of
-  allreduce-mode sync SGD: without ``bucket_bytes`` or ``overlap`` it runs
-  a one-bucket plan, i.e. one blocking allreduce of all of |W|.
+  (error-feedback residuals are per bucket, sized and typed like it).
+  This is the only gradient-exchange path of allreduce-mode sync SGD:
+  without ``bucket_bytes`` or ``overlap`` it runs a one-bucket plan, i.e.
+  one blocking allreduce of all of |W|.
 
 Simulated-time accounting: launches charge compute through
 ``Communicator.compute`` (forward = 1/3 of the step, backward split across

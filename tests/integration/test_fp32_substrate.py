@@ -45,6 +45,19 @@ def _first_batch(loader):
         return next(iter(batches))
 
 
+def _record_dtypes(mem):
+    """List that collects the dtype of every arena request of ``mem``."""
+    requested = []
+    acquire = mem.arena.acquire
+
+    def recording_acquire(shape, dtype):
+        requested.append(np.dtype(dtype))
+        return acquire(shape, dtype)
+
+    mem.arena.acquire = recording_acquire
+    return requested
+
+
 @pytest.mark.parametrize("name,kwargs,in_shape,batch", CONFIGS)
 def test_planned_step_requests_no_float64(name, kwargs, in_shape, batch):
     xb, yb = _first_batch(_loader(in_shape, batch, kwargs.get("num_classes", 10)))
@@ -54,14 +67,7 @@ def test_planned_step_requests_no_float64(name, kwargs, in_shape, batch):
     mem = MemoryContext()
     model.bind_memory(mem)
     loss.bind_memory(mem)
-    requested = []
-    acquire = mem.arena.acquire
-
-    def recording_acquire(shape, dtype):
-        requested.append(np.dtype(dtype))
-        return acquire(shape, dtype)
-
-    mem.arena.acquire = recording_acquire
+    requested = _record_dtypes(mem)
     logits = model.forward(xb)
     loss.forward(logits, yb)
     grad = loss.backward()
@@ -153,8 +159,9 @@ def test_trainer_casts_float64_batches_to_the_model_dtype():
     x, y = gaussian_blobs(32, num_classes=3, dim=6, seed=8)
     model = mlp(6, [8], 3, batch_norm=True, seed=8)
     trainer = Trainer(model, SGD(model.parameters()), 0.05, static_memory=True)
+    requested = _record_dtypes(trainer.memory)
     trainer.train_step(x.astype(np.float64), y)
     trainer.evaluate(x.astype(np.float64), y)
-    assert {b.dtype for b in trainer.memory._slots.values()} <= {F32, np.dtype(bool)}
+    assert requested and set(requested) <= {F32, np.dtype(bool)}
     bn = model.layers[1]
     assert bn.running_mean.dtype == F32
