@@ -30,6 +30,13 @@ class TestFp16Roundtrip:
         x = rng.normal(size=200)
         assert np.abs(fp16_roundtrip(x) - x).max() < 2e-3  # ~2^-10 rel
 
+    def test_keeps_the_input_dtype(self):
+        for dtype in (np.float32, np.float64):
+            x = np.array([0.1, 1e-9, 3.0], dtype=dtype)
+            out = fp16_roundtrip(x)
+            assert out.dtype == dtype
+            assert np.array_equal(out, x.astype(np.float16).astype(dtype))
+
 
 class TestLossScaling:
     def test_unscaled_tiny_gradients_are_lost(self):
