@@ -19,10 +19,11 @@ class Dropout(Module):
     the same masks for the same global batch).  Call :meth:`reseed` to align
     replicas.
 
-    The mask is drawn into a persistent per-layer buffer
-    (``Generator.random(out=...)`` consumes the identical stream as
-    ``rng.random(shape)``), so steady-state steps never reallocate it; with a
-    bound memory context the output lives in an arena slot too.
+    The mask is drawn in the activations' dtype into a persistent per-layer
+    buffer (``Generator.random(dtype=..., out=...)`` consumes the identical
+    stream as ``rng.random(shape, dtype=...)``), so steady-state steps never
+    reallocate it; with a bound memory context the output lives in an arena
+    slot too.
     """
 
     _fusion_source = True  # buffered forward writes ``out`` via plain ufuncs
